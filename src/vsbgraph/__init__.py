@@ -5,16 +5,12 @@ harness."""
 from .connectivity import (
     ConnectivityReport,
     Witness,
-    articulation_points,
     is_k_vsb,
     is_strongly_biconnected,
     is_strongly_connected,
-    reachability_from,
 )
 from .digraph import (
     Digraph,
-    EdgeSubset,
-    UndirectedGraph,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -22,7 +18,6 @@ from .errors import (
     DuplicateEdgeError,
     EdgeAbsentError,
     EdgeListSyntaxError,
-    EmptyResultError,
     GraphError,
     NotKVsbError,
     OutOfRangeError,
@@ -63,8 +58,6 @@ __all__ = [
     "DuplicateEdgeError",
     "EdgeAbsentError",
     "EdgeListSyntaxError",
-    "EdgeSubset",
-    "EmptyResultError",
     "ExperimentPlan",
     "ExperimentRow",
     "ExtractionResult",
@@ -79,9 +72,7 @@ __all__ = [
     "TooFewVerticesError",
     "TooLargeError",
     "TooManyEdgesError",
-    "UndirectedGraph",
     "Witness",
-    "articulation_points",
     "compute_2vsb_spanning",
     "emit_table",
     "format_duration",
@@ -96,7 +87,6 @@ __all__ = [
     "oracle_strongly_connected",
     "parse_edge_list",
     "random_digraph",
-    "reachability_from",
     "run_experiment",
     "serialize_edge_list",
     "two_phase_3vsb",

@@ -104,12 +104,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             sizes=tuple(args.sizes),
             seeds_per_size=args.seeds_per_size,
             multiplier=args.mult,
-            fmt=args.format,
         )
     except ValueError as exc:
         return _fail(2, str(exc))
     rows = run_experiment(plan, workers=args.workers)
-    table = emit_table(rows, plan.fmt)
+    table = emit_table(rows, args.format)
     if args.out is None:
         sys.stdout.write(table)
         return 0

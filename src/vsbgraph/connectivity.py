@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import AbstractSet, Callable, Iterable, Iterator
+from typing import AbstractSet, Iterator
 
-from .digraph import Digraph, UndirectedGraph
+from .digraph import Digraph
 from .errors import TooFewVerticesError
 
 UNREACHABLE_PAIR = "unreachable-pair"
@@ -63,21 +63,6 @@ class ConnectivityReport:
         return self.verdict
 
 
-def reachability_from(g: Digraph, v: int) -> set[int]:
-    """Vertices reachable from v by directed paths, including v."""
-    g._check_vertex(v)
-    seen = {v}
-    stack = [v]
-    out = g._out
-    while stack:
-        x = stack.pop()
-        for y in out[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def is_strongly_connected(g: Digraph) -> ConnectivityReport:
     """Every vertex reaches every other one by directed paths.
 
@@ -94,13 +79,6 @@ def is_strongly_connected(g: Digraph) -> ConnectivityReport:
             pair = (missing, 0) if backward else (0, missing)
             return ConnectivityReport(False, Witness(UNREACHABLE_PAIR, pair))
     return ConnectivityReport(True)
-
-
-def articulation_points(u: UndirectedGraph) -> set[int]:
-    """Exact articulation-point set, per connected component."""
-    return _articulation_vertices(
-        u.n, lambda v: iter(u.adj[v]), range(u.n), frozenset()
-    )
 
 
 def is_strongly_biconnected(g: Digraph) -> ConnectivityReport:
@@ -182,9 +160,7 @@ def _strong_biconnectivity_witness(
         if missing is not None:
             pair = (missing, root) if backward else (root, missing)
             return Witness(UNREACHABLE_PAIR, pair)
-    cut_vertices = _articulation_vertices(
-        n, lambda v: chain(out[v], inn[v]), (root,), blocked
-    )
+    cut_vertices = _articulation_vertices(n, out, inn, root, blocked)
     if cut_vertices:
         return Witness(ARTICULATION_POINT, (min(cut_vertices),))
     return None
@@ -192,56 +168,54 @@ def _strong_biconnectivity_witness(
 
 def _articulation_vertices(
     n: int,
-    neighbors: Callable[[int], Iterator[int]],
-    seeds: Iterable[int],
+    out: list[set[int]],
+    inn: list[set[int]],
+    root: int,
     blocked: AbstractSet[int] | tuple[int, ...],
 ) -> set[int]:
-    """Articulation points via one lowpoint depth-first pass per component.
+    """Articulation points of the undirected view of root's component.
 
-    ``neighbors`` may yield duplicates (e.g. antiparallel arcs presented
-    as two entries); duplicates act as repeated back edges, which is
-    harmless, and edges to the current parent are skipped entirely since
-    edge multiplicity never affects vertex cuts.
+    One lowpoint depth-first pass from root over out- and in-arcs.  An
+    antiparallel pair shows up as two entries; duplicates act as
+    repeated back edges, which is harmless, and edges to the current
+    parent are skipped entirely since edge multiplicity never affects
+    vertex cuts.
     """
     disc = [0] * n
     low = [0] * n
     parent = [-1] * n
     result: set[int] = set()
-    timer = 0
-    for seed in seeds:
-        if disc[seed] or seed in blocked:
-            continue
-        timer += 1
-        disc[seed] = low[seed] = timer
-        root_children = 0
-        stack: list[tuple[int, Iterator[int]]] = [(seed, neighbors(seed))]
-        while stack:
-            x, nbrs = stack[-1]
-            descended = False
-            for y in nbrs:
-                if y in blocked or y == parent[x]:
-                    continue
-                dy = disc[y]
-                if dy:
-                    if dy < low[x]:
-                        low[x] = dy
-                else:
-                    parent[y] = x
-                    timer += 1
-                    disc[y] = low[y] = timer
-                    stack.append((y, neighbors(y)))
-                    descended = True
-                    break
-            if not descended:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[x] < low[p]:
-                        low[p] = low[x]
-                    if p == seed:
-                        root_children += 1
-                    elif low[x] >= disc[p]:
-                        result.add(p)
-        if root_children >= 2:
-            result.add(seed)
+    timer = 1
+    disc[root] = low[root] = timer
+    root_children = 0
+    stack: list[tuple[int, Iterator[int]]] = [(root, chain(out[root], inn[root]))]
+    while stack:
+        x, nbrs = stack[-1]
+        descended = False
+        for y in nbrs:
+            if y in blocked or y == parent[x]:
+                continue
+            dy = disc[y]
+            if dy:
+                if dy < low[x]:
+                    low[x] = dy
+            else:
+                parent[y] = x
+                timer += 1
+                disc[y] = low[y] = timer
+                stack.append((y, chain(out[y], inn[y])))
+                descended = True
+                break
+        if not descended:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[x] < low[p]:
+                    low[p] = low[x]
+                if p == root:
+                    root_children += 1
+                elif low[x] >= disc[p]:
+                    result.add(p)
+    if root_children >= 2:
+        result.add(root)
     return result

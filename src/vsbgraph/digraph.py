@@ -14,19 +14,22 @@ exclusive access.  There is no internal locking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DuplicateEdgeError,
     EdgeAbsentError,
     EdgeListSyntaxError,
-    EmptyResultError,
     OutOfRangeError,
     SelfLoopError,
+    TooLargeError,
 )
 
 _EDGE_LINE = re.compile(r"(\d+) (\d+)")
+
+# Largest header n parse_edge_list accepts: a Digraph allocates two sets
+# per vertex up front, so a short header could otherwise demand gigabytes.
+MAX_VERTICES = 100_000
 
 
 class Digraph:
@@ -132,36 +135,6 @@ class Digraph:
         """Independent copy holding only the active edges."""
         return Digraph(self.n, self.edges())
 
-    def delete_vertices(self, remove: Iterable[int]) -> tuple[Digraph, list[int]]:
-        """Induced subgraph on the surviving vertices.
-
-        Survivors are re-indexed densely, preserving their relative
-        order.  Returns the subgraph together with the list mapping new
-        ids back to original ids (needed to report witnesses in the
-        caller's vertex numbering).
-        """
-        dropped = set(remove)
-        for v in dropped:
-            self._check_vertex(v)
-        if len(dropped) == self.n:
-            raise EmptyResultError("cannot delete every vertex")
-        kept = [v for v in range(self.n) if v not in dropped]
-        new_id = {v: i for i, v in enumerate(kept)}
-        edges = [
-            (new_id[u], new_id[v])
-            for u, v in self.edges()
-            if u not in dropped and v not in dropped
-        ]
-        return Digraph(len(kept), edges), kept
-
-    def underlying_undirected(self) -> UndirectedGraph:
-        """Undirected view: antiparallel arcs collapse to one edge."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return UndirectedGraph(self.n, adj)
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise OutOfRangeError(f"vertex {v} outside [0, {self.n})")
@@ -177,59 +150,13 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self._m})"
 
 
-class UndirectedGraph:
-    """Adjacency-set view produced by :meth:`Digraph.underlying_undirected`."""
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n: int, adj: list[set[int]]) -> None:
-        self.n = n
-        self.adj = adj
-
-    @property
-    def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Undirected edges as (u, v) with u < v, ascending."""
-        return [
-            (u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v
-        ]
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeSubset:
-    """Ordered subset of a digraph's edges (e.g. removed or protected sets)."""
-
-    parent: Digraph
-    members: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for u, v in self.members:
-            if not self.parent.has_edge(u, v):
-                raise EdgeAbsentError(
-                    f"({u}, {v}) is not an edge of the parent graph"
-                )
-
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        return edge in self.members
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def parse_edge_list(text: str) -> Digraph:
     """Parse edge-list text: header ``n m`` then m lines ``u v``.
 
     Lines starting with ``#`` are comments and may appear anywhere.
     Input must be ASCII; vertex ids are 0-based decimals separated by a
-    single space.
+    single space.  A header ``n`` above :data:`MAX_VERTICES` raises
+    :class:`TooLargeError` before any graph is built.
     """
     if not text.isascii():
         raise EdgeListSyntaxError("edge-list text must be ASCII")
@@ -248,6 +175,8 @@ def parse_edge_list(text: str) -> Digraph:
     if match is None:
         raise EdgeListSyntaxError(f"line {lineno}: expected 'n m', got {header!r}")
     n, m = int(match.group(1)), int(match.group(2))
+    if n > MAX_VERTICES:
+        raise TooLargeError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     body = data[1:]
     if len(body) != m:
         raise EdgeListSyntaxError(

@@ -21,10 +21,6 @@ class EdgeAbsentError(GraphError):
     """The referenced edge is not present in the graph."""
 
 
-class EmptyResultError(GraphError):
-    """An operation would leave a graph with no vertices."""
-
-
 class EdgeListSyntaxError(GraphError):
     """Malformed edge-list text."""
 
@@ -47,7 +43,7 @@ class SaturatedError(GraphError):
 
 
 class TooLargeError(GraphError):
-    """Input exceeds a brute-force size guard."""
+    """Input exceeds a size guard (edge-list vertex limit, brute-force oracle)."""
 
 
 class NotKVsbError(GraphError):

@@ -1,14 +1,16 @@
 """Sparse spanning-subgraph extraction by greedy single-edge deletion.
 
-Two strategies over a k-vertex strongly biconnected input:
+Both strategies run the same greedy sweep over a k-vertex strongly
+biconnected input: walk the candidate edges once, drop each edge whose
+removal keeps the graph k-vsb, and skip the edges marked *protected*.
 
-* :func:`minimal_k_vsb` walks the edges once and drops each edge whose
-  removal keeps the graph k-vsb.  The result is minimal: no remaining
-  edge can be removed without breaking the property.
+* :func:`minimal_k_vsb` sweeps every edge with nothing protected.  The
+  result is minimal: no remaining edge can be removed without breaking
+  the property.
 * :func:`two_phase_3vsb` first extracts a 2-vsb spanning backbone whose
-  edges become *protected*, then runs the greedy deletion at k=3 over
-  the unprotected edges only.  Fewer expensive k=3 tests, but the result
-  is not guaranteed minimal (protected edges are never tried).
+  edges become protected, then sweeps at k=3.  Fewer expensive k=3
+  tests, but the result is not guaranteed minimal (protected edges are
+  never tried).
 
 Each candidate test flips the edge's activity mask in a private working
 copy, so a test costs exactly one k-vsb evaluation and no graph rebuild.
@@ -18,13 +20,15 @@ concurrently.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .connectivity import is_k_vsb
-from .digraph import Digraph, EdgeSubset
+from .digraph import Digraph
 from .errors import NotKVsbError
+
+Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,14 @@ class ExtractionStats:
 @dataclass(frozen=True, eq=False)
 class ExtractionResult:
     subgraph: Digraph
-    removed: EdgeSubset
-    protected: EdgeSubset
+    removed: tuple[Edge, ...]
+    protected: tuple[Edge, ...]
     stats: ExtractionStats
 
 
 def _ordered_candidates(
-    edges: list[tuple[int, int]], order: str, seed: int | None
-) -> list[tuple[int, int]]:
+    edges: list[Edge], order: str, seed: int | None
+) -> list[Edge]:
     if order == "input":
         return edges
     if order == "shuffle":
@@ -61,6 +65,47 @@ def _ordered_candidates(
         rng = np.random.default_rng(seed)
         return [edges[i] for i in rng.permutation(len(edges))]
     raise ValueError(f"unknown edge order policy: {order!r}")
+
+
+def _require_k_vsb(g: Digraph, k: int) -> None:
+    report = is_k_vsb(g, k)
+    if not report.verdict:
+        raise NotKVsbError(k, report.witness)
+
+
+def _sweep(
+    g: Digraph,
+    k: int,
+    candidates: list[Edge],
+    protected: frozenset[Edge],
+    tests: int,
+    start: float,
+) -> ExtractionResult:
+    """The greedy deletion sweep every extractor runs, then one recheck.
+
+    ``removed`` keeps candidate order, ``protected`` input-edge order.
+    ``tests`` and ``start`` are the caller's k-vsb test count and
+    ``time.perf_counter()`` reading so far; the stats include both.
+    """
+    work = g.copy()
+    removed: list[Edge] = []
+    for u, v in candidates:
+        if (u, v) in protected:
+            continue
+        work.remove_edge(u, v)
+        tests += 1
+        if is_k_vsb(work, k).verdict:
+            removed.append((u, v))
+        else:
+            work.restore_edge(u, v)
+    tests += 1
+    if not is_k_vsb(work, k).verdict:
+        raise RuntimeError(
+            f"internal error: extraction output failed the {k}-vsb recheck"
+        )
+    stats = ExtractionStats(g.m, work.m, tests, time.perf_counter() - start)
+    in_order = tuple(e for e in g.edges() if e in protected)
+    return ExtractionResult(work, tuple(removed), in_order, stats)
 
 
 def minimal_k_vsb(
@@ -73,33 +118,9 @@ def minimal_k_vsb(
     :class:`NotKVsbError` when the input is not k-vsb to begin with.
     """
     start = time.perf_counter()
-    report = is_k_vsb(g, k)
-    tests = 1
-    if not report.verdict:
-        raise NotKVsbError(k, report.witness)
-    work = g.copy()
-    removed: list[tuple[int, int]] = []
-    for u, v in _ordered_candidates(g.edges(), order, seed):
-        work.remove_edge(u, v)
-        tests += 1
-        if is_k_vsb(work, k).verdict:
-            removed.append((u, v))
-        else:
-            work.restore_edge(u, v)
-    tests += 1
-    _verify(work, k)
-    stats = ExtractionStats(
-        edges_in=g.m,
-        edges_out=work.m,
-        tests_performed=tests,
-        elapsed=time.perf_counter() - start,
-    )
-    return ExtractionResult(
-        subgraph=work,
-        removed=EdgeSubset(g, tuple(removed)),
-        protected=EdgeSubset(g, ()),
-        stats=stats,
-    )
+    _require_k_vsb(g, k)
+    candidates = _ordered_candidates(g.edges(), order, seed)
+    return _sweep(g, k, candidates, frozenset(), 1, start)
 
 
 def compute_2vsb_spanning(
@@ -118,10 +139,8 @@ def compute_2vsb_spanning(
     below the cost of the k=3 sweep it is protecting.
     """
     start = time.perf_counter()
-    report = is_k_vsb(g, 2)
+    _require_k_vsb(g, 2)
     tests = 1
-    if not report.verdict:
-        raise NotKVsbError(2, report.witness)
     edges = _ordered_candidates(g.edges(), order, seed)
     lo, hi = 1, len(edges)
     while lo < hi:
@@ -132,19 +151,16 @@ def compute_2vsb_spanning(
         else:
             lo = mid + 1
     inner = minimal_k_vsb(Digraph(g.n, edges[:lo]), k=2)
-    tests += inner.stats.tests_performed
     kept = set(inner.subgraph.edges())
-    stats = ExtractionStats(
-        edges_in=g.m,
-        edges_out=inner.subgraph.m,
-        tests_performed=tests,
-        elapsed=time.perf_counter() - start,
-    )
-    return ExtractionResult(
-        subgraph=inner.subgraph,
-        removed=EdgeSubset(g, tuple(e for e in edges if e not in kept)),
-        protected=EdgeSubset(g, ()),
-        stats=stats,
+    return replace(
+        inner,
+        removed=tuple(e for e in edges if e not in kept),
+        stats=replace(
+            inner.stats,
+            edges_in=g.m,
+            tests_performed=tests + inner.stats.tests_performed,
+            elapsed=time.perf_counter() - start,
+        ),
     )
 
 
@@ -155,47 +171,15 @@ def two_phase_3vsb(
 
     Phase one computes the backbone; phase two greedily deletes only the
     edges outside it, testing k=3 after each removal.  The returned
-    ``protected`` subset is the backbone in input-edge order and is
+    ``protected`` edges are the backbone in input-edge order and are
     always contained in the output.  ``tests_performed`` includes the
     backbone run's own tests.
     """
     start = time.perf_counter()
-    report = is_k_vsb(g, 3)
-    tests = 1
-    if not report.verdict:
-        raise NotKVsbError(3, report.witness)
+    _require_k_vsb(g, 3)
     backbone = compute_2vsb_spanning(g, order, seed)
-    tests += backbone.stats.tests_performed
-    protected = set(backbone.subgraph.edges())
-    work = g.copy()
-    removed: list[tuple[int, int]] = []
-    for u, v in _ordered_candidates(g.edges(), order, seed):
-        if (u, v) in protected:
-            continue
-        work.remove_edge(u, v)
-        tests += 1
-        if is_k_vsb(work, 3).verdict:
-            removed.append((u, v))
-        else:
-            work.restore_edge(u, v)
-    tests += 1
-    _verify(work, 3)
-    stats = ExtractionStats(
-        edges_in=g.m,
-        edges_out=work.m,
-        tests_performed=tests,
-        elapsed=time.perf_counter() - start,
+    protected = frozenset(backbone.subgraph.edges())
+    candidates = _ordered_candidates(g.edges(), order, seed)
+    return _sweep(
+        g, 3, candidates, protected, 1 + backbone.stats.tests_performed, start
     )
-    return ExtractionResult(
-        subgraph=work,
-        removed=EdgeSubset(g, tuple(removed)),
-        protected=EdgeSubset(g, tuple(e for e in g.edges() if e in protected)),
-        stats=stats,
-    )
-
-
-def _verify(work: Digraph, k: int) -> None:
-    if not is_k_vsb(work, k).verdict:
-        raise RuntimeError(
-            f"internal error: extraction output failed the {k}-vsb recheck"
-        )

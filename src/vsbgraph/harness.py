@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +75,6 @@ class ExperimentPlan:
     sizes: tuple[int, ...]
     seeds_per_size: int = 3
     multiplier: int = 8
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -85,8 +85,6 @@ class ExperimentPlan:
             raise ValueError("seeds_per_size must be at least 1")
         if self.multiplier < 1:
             raise ValueError("multiplier must be at least 1")
-        if self.fmt not in ("csv", "md", "markdown"):
-            raise ValueError(f"unknown output format: {self.fmt!r}")
 
 
 def _timed_extractions(
@@ -125,6 +123,12 @@ def _run_row(task: tuple[int, int, int]) -> ExperimentRow:
     )
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes for a run of ``tasks`` rows: at most the rows and the
+    CPUs; one or fewer means the rows run in the calling process."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow]:
     """Run every (size, seed) cell; a failing row is reported and skipped."""
     tasks = [
@@ -133,6 +137,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow
         for seed in range(1, plan.seeds_per_size + 1)
     ]
     rows: list[ExperimentRow] = []
+    workers = _pool_size(workers, len(tasks))
     if workers <= 1:
         for task in tasks:
             try:
@@ -193,7 +198,7 @@ def emit_table(rows: list[ExperimentRow], fmt: str = "csv") -> str:
                 ]
             )
         return buf.getvalue()
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         lines = [_MD_HEADER, "|---|---|---|---|---|"]
         for r in rows:
             lines.append(

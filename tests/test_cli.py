@@ -1,7 +1,13 @@
 """End-to-end CLI behavior: subcommands, exit codes, file round trips."""
 import pytest
 
-from vsbgraph import Digraph, oracle_is_minimal, parse_edge_list, serialize_edge_list
+from vsbgraph import (
+    Digraph,
+    digraph,
+    oracle_is_minimal,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from vsbgraph.cli import main
 
 from graphutil import complete_bidirected, directed_cycle
@@ -74,6 +80,12 @@ class TestCheck:
         path.write_text("3 9\n0 1\n", encoding="ascii")
         assert main(["check", "--in", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_vertex_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(digraph, "MAX_VERTICES", 4)
+        path = write_graph(tmp_path / "k5.txt", complete_bidirected(5))
+        assert main(["check", "--in", path]) == 2
+        assert "limit of 4" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", "--in", str(tmp_path / "nope.txt")]) == 2

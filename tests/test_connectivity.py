@@ -5,13 +5,18 @@ from hypothesis import given
 from vsbgraph import (
     Digraph,
     TooFewVerticesError,
-    articulation_points,
     is_k_vsb,
     is_strongly_biconnected,
     is_strongly_connected,
-    reachability_from,
 )
-from vsbgraph.connectivity import ARTICULATION_POINT, UNREACHABLE_PAIR, VERTEX_CUT
+from vsbgraph.connectivity import (
+    ARTICULATION_POINT,
+    UNREACHABLE_PAIR,
+    VERTEX_CUT,
+    _articulation_vertices,
+    _search_miss,
+)
+from vsbgraph.oracle import _arc_masks, _component_mask, _sb_bruteforce
 
 from graphutil import (
     complete_bidirected,
@@ -26,18 +31,33 @@ def bowtie() -> Digraph:
     return Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
 
 
+def disconnects(g: Digraph, x: int) -> bool:
+    """Deleting x splits the rest of g's undirected view (oracle machinery)."""
+    out, inn = _arc_masks(g.n, g.edges())
+    rest = ((1 << g.n) - 1) & ~(1 << x)
+    if not rest:
+        return False
+    und = [o | i for o, i in zip(out, inn)]
+    return _component_mask(und, rest, (rest & -rest).bit_length() - 1) != rest
+
+
 def replay_witness(g: Digraph, witness) -> bool:
-    """True iff the witness reproduces the reported failure."""
+    """True iff the witness reproduces the reported failure.
+
+    Replays through the brute-force oracle's bitmask machinery, which
+    shares no code with the predicates under test.
+    """
+    out, inn = _arc_masks(g.n, g.edges())
+    alive = (1 << g.n) - 1
     if witness.kind == UNREACHABLE_PAIR:
         u, v = witness.vertices
-        return v not in reachability_from(g, u)
+        return not _component_mask(out, alive, u) >> v & 1
     if witness.kind == ARTICULATION_POINT:
-        return witness.vertices[0] in articulation_points(g.underlying_undirected())
+        return disconnects(g, witness.vertices[0])
     if witness.kind == VERTEX_CUT:
-        if not witness.vertices:
-            return not is_strongly_biconnected(g).verdict
-        sub, _ = g.delete_vertices(set(witness.vertices))
-        return not is_strongly_biconnected(sub).verdict
+        for v in witness.vertices:
+            alive &= ~(1 << v)
+        return not _sb_bruteforce(out, inn, alive)
     return False
 
 
@@ -59,37 +79,50 @@ class TestStronglyConnected:
         assert is_strongly_connected(Digraph(1)).verdict
 
 
+def cut_vertices(g: Digraph, root: int = 0, blocked=()) -> set[int]:
+    return _articulation_vertices(g.n, g._out, g._in, root, blocked)
+
+
+def first_miss(g: Digraph, root: int, blocked=()) -> int | None:
+    return _search_miss(g.n, g._out, root, blocked)
+
+
 class TestReachability:
+    """The directed search behind every unreachable-pair witness."""
+
     def test_path_forward(self):
-        assert reachability_from(directed_path(3), 0) == {0, 1, 2}
+        assert first_miss(directed_path(3), 0) is None
 
     def test_path_sink(self):
-        assert reachability_from(directed_path(3), 2) == {2}
+        assert first_miss(directed_path(3), 2) == 0
+        assert first_miss(directed_path(3), 2, blocked=(0, 1)) is None
 
     def test_cycle(self):
-        assert reachability_from(directed_cycle(3), 1) == {0, 1, 2}
+        assert first_miss(directed_cycle(3), 1) is None
 
 
 class TestArticulationPoints:
+    """The lowpoint pass behind every articulation-point witness."""
+
     def test_path_middle(self):
-        u = directed_path(3).underlying_undirected()
-        assert articulation_points(u) == {1}
+        assert cut_vertices(directed_path(3)) == {1}
 
     def test_cycle_has_none(self):
-        u = directed_cycle(4).underlying_undirected()
-        assert articulation_points(u) == set()
+        assert cut_vertices(directed_cycle(4)) == set()
 
     def test_bowtie_shared_vertex(self):
-        assert articulation_points(bowtie().underlying_undirected()) == {2}
+        assert cut_vertices(bowtie()) == {2}
+        assert cut_vertices(bowtie(), root=2) == {2}
 
     def test_two_vertices_none(self):
-        u = Digraph(2, [(0, 1)]).underlying_undirected()
-        assert articulation_points(u) == set()
+        assert cut_vertices(Digraph(2, [(0, 1)])) == set()
 
     def test_disconnected_components(self):
-        # paths 0-1-2 and 3-4-5: one cut vertex per component
+        # paths 0-1-2 and 3-4-5: the pass sees only the root's component
         g = Digraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        assert articulation_points(g.underlying_undirected()) == {1, 4}
+        assert cut_vertices(g, root=0) == {1}
+        assert cut_vertices(g, root=3) == {4}
+        assert cut_vertices(g, root=3, blocked=(5,)) == set()
 
 
 class TestStronglyBiconnected:
@@ -117,9 +150,8 @@ class TestStronglyBiconnected:
 
     @given(digraphs(min_n=1, max_n=6))
     def test_definition_equivalence(self, g):
-        expected = (
-            is_strongly_connected(g).verdict
-            and not articulation_points(g.underlying_undirected())
+        expected = is_strongly_connected(g).verdict and not any(
+            disconnects(g, x) for x in range(g.n)
         )
         assert is_strongly_biconnected(g).verdict == expected
 

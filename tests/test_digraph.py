@@ -7,15 +7,15 @@ from vsbgraph import (
     DuplicateEdgeError,
     EdgeAbsentError,
     EdgeListSyntaxError,
-    EdgeSubset,
-    EmptyResultError,
     OutOfRangeError,
     SelfLoopError,
+    TooLargeError,
+    digraph,
     parse_edge_list,
     serialize_edge_list,
 )
 
-from graphutil import complete_bidirected, digraphs, directed_cycle
+from graphutil import digraphs
 
 C3_EDGES = [(0, 1), (1, 2), (2, 0)]
 
@@ -88,78 +88,6 @@ class TestRemoveRestore:
         assert (u, v) not in g.edges()
 
 
-class TestDeleteVertices:
-    def test_single_deletion(self):
-        g = Digraph(3, C3_EDGES)
-        sub, kept = g.delete_vertices({2})
-        assert sub.n == 2
-        assert sub.edges() == [(0, 1)]
-        assert kept == [0, 1]
-
-    def test_empty_deletion_is_identity(self):
-        g = Digraph(3, C3_EDGES)
-        sub, kept = g.delete_vertices(set())
-        assert sub == g
-        assert kept == [0, 1, 2]
-
-    def test_k4_pair_deletion(self):
-        sub, kept = complete_bidirected(4).delete_vertices({0, 1})
-        assert sub.n == 2
-        assert set(sub.edges()) == {(0, 1), (1, 0)}
-        assert kept == [2, 3]
-
-    def test_delete_all_fails(self):
-        g = Digraph(3, C3_EDGES)
-        with pytest.raises(EmptyResultError):
-            g.delete_vertices({0, 1, 2})
-
-    @given(digraphs(min_n=2))
-    def test_edge_count_formula(self, g):
-        dropped = {0}
-        sub, _ = g.delete_vertices(dropped)
-        expected = sum(
-            1 for u, v in g.edges() if u not in dropped and v not in dropped
-        )
-        assert sub.n == g.n - 1
-        assert sub.m == expected
-
-
-class TestUnderlyingUndirected:
-    def test_c3_triangle(self):
-        u = directed_cycle(3).underlying_undirected()
-        assert u.m == 3
-        assert u.edges() == [(0, 1), (0, 2), (1, 2)]
-
-    def test_antiparallel_collapse(self):
-        u = complete_bidirected(4).underlying_undirected()
-        assert u.m == 6
-
-    def test_single_arc(self):
-        u = Digraph(2, [(0, 1)]).underlying_undirected()
-        assert u.edges() == [(0, 1)]
-
-    @given(digraphs())
-    def test_direction_erasure(self, g):
-        reversed_g = Digraph(g.n, [(v, u) for u, v in g.edges()])
-        assert g.underlying_undirected().edges() == (
-            reversed_g.underlying_undirected().edges()
-        )
-
-
-class TestEdgeSubset:
-    def test_membership_validated(self):
-        g = Digraph(3, C3_EDGES)
-        with pytest.raises(EdgeAbsentError):
-            EdgeSubset(g, ((1, 0),))
-
-    def test_iteration_order(self):
-        g = Digraph(3, C3_EDGES)
-        subset = EdgeSubset(g, ((2, 0), (0, 1)))
-        assert list(subset) == [(2, 0), (0, 1)]
-        assert (0, 1) in subset
-        assert len(subset) == 2
-
-
 class TestEdgeListFormat:
     def test_parse_c3(self):
         assert parse_edge_list("3 3\n0 1\n1 2\n2 0\n") == Digraph(3, C3_EDGES)
@@ -194,6 +122,13 @@ class TestEdgeListFormat:
     @given(digraphs())
     def test_round_trip(self, g):
         assert parse_edge_list(serialize_edge_list(g)) == g
+
+    def test_vertex_limit(self, monkeypatch):
+        # a small limit keeps a regression from allocating a huge graph
+        monkeypatch.setattr(digraph, "MAX_VERTICES", 3)
+        assert parse_edge_list("3 0\n") == Digraph(3)
+        with pytest.raises(TooLargeError):
+            parse_edge_list("4 0\n")
 
     def test_serialize_after_parse_is_identity(self):
         text = "4 2\n0 1\n3 2\n"

@@ -142,11 +142,10 @@ class TestTwoPhase3Vsb:
         assert 3 * 10 <= result.subgraph.m < 4 * 10
 
     def test_removed_and_protected_disjoint(self):
-        result = two_phase_3vsb(generate(InstanceSpec(10, seed=2)).graph)
+        g = generate(InstanceSpec(10, seed=2)).graph
+        result = two_phase_3vsb(g)
         assert not (set(result.removed) & set(result.protected))
-        assert set(result.subgraph.edges()) == (
-            set(e for e in result.removed.parent.edges()) - set(result.removed)
-        )
+        assert set(result.subgraph.edges()) == set(g.edges()) - set(result.removed)
 
     def test_rejects_non_3vsb_input(self):
         with pytest.raises(NotKVsbError):

@@ -6,6 +6,7 @@ from vsbgraph import (
     ExperimentRow,
     emit_table,
     format_duration,
+    harness,
     run_experiment,
 )
 
@@ -28,10 +29,6 @@ class TestPlanValidation:
     def test_small_size_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(sizes=(3,))
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentPlan(sizes=(10,), fmt="xml")
 
     def test_defaults(self):
         plan = ExperimentPlan(sizes=(10, 20))
@@ -70,6 +67,11 @@ class TestEmitTable:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_table([], "html")
+
+    def test_bad_format_rejected(self):
+        for fmt in ("xml", "markdown"):
+            with pytest.raises(ValueError):
+                emit_table([sample_row()], fmt)
 
 
 class TestFormatDuration:
@@ -111,6 +113,30 @@ class TestRunExperiment:
         parallel = run_experiment(plan, workers=2)
         key = lambda r: (r.n, r.m_input, r.seed, r.algo1_edges, r.algo2_edges)
         assert [key(r) for r in sequential] == [key(r) for r in parallel]
+
+    def test_huge_worker_count_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-row plan must not start a pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        plan = ExperimentPlan(sizes=(10,), seeds_per_size=1)
+        assert len(run_experiment(plan, workers=10**9)) == 1
+
+
+class TestPoolSize:
+    def test_clamped_to_rows_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._pool_size(10**9, 3) == 3
+        assert harness._pool_size(10**9, 100) == 4
+        assert harness._pool_size(2, 100) == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._pool_size(8, 8) == 1
+
+    def test_non_positive_request_stays_sequential(self):
+        assert harness._pool_size(0, 5) <= 1
+        assert harness._pool_size(-3, 5) <= 1
 
 
 def _mask_times(csv_text: str) -> list[str]:
