@@ -111,6 +111,32 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     return ConnectivityReport(True)
 
 
+def _below_degree_bound(g: Digraph, v: int, k: int) -> bool:
+    """True when v's degrees alone show that g (with n > k) is not k-vsb.
+
+    The bound is in- or out-degree below k, or, when n >= k+2,
+    undirected degree (distinct neighbours in either direction) below
+    k+1 (Whitney's inequality: vertex connectivity <= minimum degree).
+    Proof that each case breaks k-vsb:
+
+    - Delete the at most k-1 in- (or out-) neighbours of v.  At least
+      two vertices survive, and none of them has an arc into (or out
+      of) v, so the residual is not strongly connected.
+    - With at most k undirected neighbours, delete k-1 of them, or all
+      if there are fewer.  At least three vertices survive.  If no
+      neighbour is left, v is isolated; otherwise the one neighbour left
+      separates v from the other survivors and is an articulation point.
+
+    At n = k+1 the undirected case does not apply: the complete
+    bidirected graph on k+1 vertices is k-vsb with undirected degree k.
+    """
+    out = g._out[v]
+    inn = g._in[v]
+    if len(out) < k or len(inn) < k:
+        return True
+    return g.n >= k + 2 and len(out | inn) < k + 1
+
+
 def _search_miss(
     n: int,
     adj: list[set[int]],

@@ -31,6 +31,10 @@ _EDGE_LINE = re.compile(r"(\d+) (\d+)")
 # per vertex up front, so a short header could otherwise demand gigabytes.
 MAX_VERTICES = 100_000
 
+# Longest decimal field parse_edge_list converts: int() on a longer string
+# costs time quadratic in its length, and CPython refuses past 4,300 digits.
+MAX_FIELD_DIGITS = 18
+
 
 class Digraph:
     """Simple directed graph: no self-loops, no parallel arcs."""
@@ -155,7 +159,8 @@ def parse_edge_list(text: str) -> Digraph:
 
     Lines starting with ``#`` are comments and may appear anywhere.
     Input must be ASCII; vertex ids are 0-based decimals separated by a
-    single space.  A header ``n`` above :data:`MAX_VERTICES` raises
+    single space.  A field longer than :data:`MAX_FIELD_DIGITS` digits,
+    or a header ``n`` above :data:`MAX_VERTICES`, raises
     :class:`TooLargeError` before any graph is built.
     """
     if not text.isascii():
@@ -174,7 +179,7 @@ def parse_edge_list(text: str) -> Digraph:
     match = _EDGE_LINE.fullmatch(header)
     if match is None:
         raise EdgeListSyntaxError(f"line {lineno}: expected 'n m', got {header!r}")
-    n, m = int(match.group(1)), int(match.group(2))
+    n, m = _fields(match, lineno)
     if n > MAX_VERTICES:
         raise TooLargeError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     body = data[1:]
@@ -189,8 +194,17 @@ def parse_edge_list(text: str) -> Digraph:
             raise EdgeListSyntaxError(
                 f"line {lineno}: expected 'u v', got {line!r}"
             )
-        edges.append((int(match.group(1)), int(match.group(2))))
+        edges.append(_fields(match, lineno))
     return Digraph(n, edges)
+
+
+def _fields(match: re.Match[str], lineno: int) -> tuple[int, int]:
+    a, b = match.groups()
+    if len(a) > MAX_FIELD_DIGITS or len(b) > MAX_FIELD_DIGITS:
+        raise TooLargeError(
+            f"line {lineno}: number longer than {MAX_FIELD_DIGITS} digits"
+        )
+    return int(a), int(b)
 
 
 def serialize_edge_list(g: Digraph) -> str:

@@ -43,7 +43,8 @@ class SaturatedError(GraphError):
 
 
 class TooLargeError(GraphError):
-    """Input exceeds a size guard (edge-list vertex limit, brute-force oracle)."""
+    """Input exceeds a size guard (edge-list vertex or digit limit,
+    generator vertex limit, brute-force oracle)."""
 
 
 class NotKVsbError(GraphError):

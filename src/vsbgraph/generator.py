@@ -2,8 +2,11 @@
 
 Construction recipe: sample a fixed number of distinct arcs uniformly
 (default 8n), then insert further uniformly random absent arcs one at a
-time, re-testing 3-vertex strong biconnectivity after every insertion,
-and stop at the first pass.  Randomness comes from numpy's PCG64
+time and stop at the first graph that is 3-vertex strongly biconnected.
+While some vertex has in- or out-degree below 3, or undirected degree
+below 4, the graph cannot be 3-vsb, so the full 3-vsb test runs only
+once every vertex meets that degree bound; the instance is the same as
+if it ran after every insertion.  Randomness comes from numpy's PCG64
 generator, so a spec (n, initial edge count, 64-bit seed) pins the
 instance exactly.
 
@@ -18,14 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import is_k_vsb
+from .connectivity import _below_degree_bound, is_k_vsb
 from .digraph import Digraph
-from .errors import SaturatedError, TooFewVerticesError, TooManyEdgesError
+from .errors import (
+    SaturatedError,
+    TooFewVerticesError,
+    TooLargeError,
+    TooManyEdgesError,
+)
+
+# Largest n an InstanceSpec accepts: sampling and growth each build a
+# list of all n(n-1) arc indices, about a million entries at this limit.
+MAX_VERTICES = 1_000
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Generator parameters; ``initial_edges`` defaults to 8n."""
+    """Generator parameters; ``initial_edges`` defaults to 8n.
+
+    ``n`` must lie in [4, :data:`MAX_VERTICES`]; above the limit
+    :class:`TooLargeError` is raised before anything is allocated.
+    """
 
     n: int
     initial_edges: int | None = None
@@ -35,6 +51,10 @@ class InstanceSpec:
         if self.n < 4:
             raise TooFewVerticesError(
                 f"instances need at least 4 vertices, got {self.n}"
+            )
+        if self.n > MAX_VERTICES:
+            raise TooLargeError(
+                f"{self.n} vertices exceed the generator limit of {MAX_VERTICES}"
             )
         if self.initial_edges is None:
             object.__setattr__(self, "initial_edges", 8 * self.n)
@@ -72,11 +92,13 @@ def random_digraph(spec: InstanceSpec) -> Digraph:
 def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     """Add uniformly random absent arcs until the graph is 3-vsb.
 
-    The input is not modified; each insertion is followed by a full
-    3-vsb re-test and growth stops at the first pass (a graph that
-    already passes gains nothing).  Terminates before the arc space is
-    exhausted because the complete bidirected graph on n >= 4 vertices
-    is 3-vsb; running out anyway raises :class:`SaturatedError`.
+    The input is not modified; growth stops at the first graph that
+    passes (a graph that already passes gains nothing).  The full 3-vsb
+    test runs only when every vertex has in- and out-degree >= 3 and, at
+    n >= 5, at least 4 distinct neighbours; before that it would fail,
+    so skipping it changes no instance.  Terminates before the arc
+    space is exhausted because the complete bidirected graph on n >= 4
+    vertices is 3-vsb; running out anyway raises :class:`SaturatedError`.
     """
     if g.n < 4:
         raise TooFewVerticesError(f"growth needs at least 4 vertices, got {g.n}")
@@ -87,16 +109,22 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     absent = [
         i for i in range(n * (n - 1)) if not work.has_edge(*_arc_pair(i, n))
     ]
+    short = {v for v in range(n) if _below_degree_bound(work, v, 3)}
     added = 0
-    while not is_k_vsb(work, 3).verdict:
+    while short or not is_k_vsb(work, 3).verdict:
         if added == len(absent):
             raise SaturatedError(
                 "graph became complete without passing the 3-vsb test"
             )
         j = int(rng.integers(added, len(absent)))
         absent[added], absent[j] = absent[j], absent[added]
-        work.add_edge(*_arc_pair(absent[added], n))
+        u, v = _arc_pair(absent[added], n)
+        work.add_edge(u, v)
         added += 1
+        # degrees only grow, so a vertex that meets the bound keeps it
+        for x in (u, v):
+            if x in short and not _below_degree_bound(work, x, 3):
+                short.discard(x)
     return GeneratedInstance(spec, work, added)
 
 

@@ -4,6 +4,7 @@ import pytest
 from vsbgraph import (
     Digraph,
     digraph,
+    generator,
     oracle_is_minimal,
     parse_edge_list,
     serialize_edge_list,
@@ -40,6 +41,14 @@ class TestGen:
         code = main(["gen", "--n", "8", "--seed", "1", "--out", str(out)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_vertex_limit_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_VERTICES", 9)
+        out = tmp_path / "inst.txt"
+        code = main(["gen", "--n", "10", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert "limit of 9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -86,6 +95,12 @@ class TestCheck:
         path = write_graph(tmp_path / "k5.txt", complete_bidirected(5))
         assert main(["check", "--in", path]) == 2
         assert "limit of 4" in capsys.readouterr().err
+
+    def test_overlong_number_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text("1" * 5000 + " 0\n", encoding="ascii")
+        assert main(["check", "--in", str(path)]) == 2
+        assert "longer than" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", "--in", str(tmp_path / "nope.txt")]) == 2

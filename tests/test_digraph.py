@@ -130,6 +130,17 @@ class TestEdgeListFormat:
         with pytest.raises(TooLargeError):
             parse_edge_list("4 0\n")
 
+    def test_field_digit_limit(self):
+        # int() of a 5,000-digit field would raise ValueError, not a GraphError
+        digits = "1" * (digraph.MAX_FIELD_DIGITS + 1)
+        assert parse_edge_list("2 1\n00000000000000001 0\n") == Digraph(2, [(1, 0)])
+        with pytest.raises(TooLargeError, match="line 1"):
+            parse_edge_list(f"{'1' * 5000} 0\n")
+        with pytest.raises(TooLargeError, match="line 1"):
+            parse_edge_list(f"3 {digits}\n")
+        with pytest.raises(TooLargeError, match="line 3"):
+            parse_edge_list(f"3 2\n0 1\n{digits} 2\n")
+
     def test_serialize_after_parse_is_identity(self):
         text = "4 2\n0 1\n3 2\n"
         assert serialize_edge_list(parse_edge_list(text)) == text

@@ -1,16 +1,24 @@
 """Instance generation: uniform sampling, seeded determinism, growth."""
+import hashlib
+import random
+
 import pytest
 
 from vsbgraph import (
     Digraph,
     InstanceSpec,
     TooFewVerticesError,
+    TooLargeError,
     TooManyEdgesError,
     generate,
+    generator,
     grow_until_3vsb,
     is_k_vsb,
+    oracle_k_vsb,
     random_digraph,
+    serialize_edge_list,
 )
+from vsbgraph.connectivity import _below_degree_bound
 
 from graphutil import complete_bidirected
 
@@ -27,6 +35,15 @@ class TestInstanceSpec:
         # 8n exceeds the n(n-1) arc space at n=8
         with pytest.raises(TooManyEdgesError):
             InstanceSpec(8, 64, seed=1)
+
+    def test_vertex_limit(self, monkeypatch):
+        # a small limit keeps a regression from allocating n(n-1)-entry lists
+        monkeypatch.setattr(generator, "MAX_VERTICES", 9)
+        assert InstanceSpec(9, seed=1).n == 9
+        with pytest.raises(TooLargeError):
+            InstanceSpec(10, seed=1)
+        with pytest.raises(TooLargeError):
+            grow_until_3vsb(Digraph(10), seed=1)
 
 
 class TestRandomDigraph:
@@ -117,3 +134,89 @@ class TestGenerate:
             instance = generate(InstanceSpec(10, seed=seed))
             assert instance.graph.m >= 80
             assert is_k_vsb(instance.graph, 3).verdict
+
+
+# SHA-256 of serialize_edge_list(graph) and the growth count, recorded
+# from the generator that ran the full 3-vsb test after every insertion;
+# the degree-gated loop must reproduce them byte for byte.
+INSTANCE_DIGESTS = [
+    (12, 48, 100001, 28, "5ae9465dbb3bc24171e2c660d93939e2dafe8d150740d2438654748d05edb762"),
+    (12, 48, 100002, 25, "878d4308c89c3050ab298079aa5379aa7342b8952afc0187f534a2bc39060e5f"),
+    (12, 48, 100003, 8, "3f46112a35279aa448732a2f64e90287665535f0b069a7cf0d06174ef0644378"),
+    (12, 48, 100004, 27, "5fc1834f6b8f0060c101029024481996b3ee212953b181d9568646c117ee8807"),
+    (12, 48, 100005, 25, "8f7ffcd535109e72604e7fb0de3cfbee9115c711440d756fceb7770ea3767639"),
+    (20, 40, 1, 153, "39c942caa70b6050c25c4d07d6c740959c9ed2b1dd9a984cb15295ae3b1983da"),
+    (20, 40, 2, 123, "d6803f8dd4f63b1ca23fc038601cb4e9dbcdacaf89393dc07b5794481b92fab6"),
+    (20, 40, 3, 135, "6de208e8d22468ccc7c79605834e022173f8d90d0bc1d3d8d7864eef0e683b66"),
+    (30, 120, 1, 122, "05f9f90f3960065138d726d6cdef4e651c70786b6c70a89fa2b320f10a4cbc9b"),
+    (30, 120, 2, 81, "6b6249018d8616364492afee8d6f585d22d81fa35060e3ff2f63b6204c6981f9"),
+    (10, 0, 1, 48, "261779c6b6532c81bec9269ef9e9192c79780093a413dd75ff5d32d0ac527cef"),
+    (12, 0, 5, 71, "d99cdc24723a61039187b913b02ee664e6da067de6934bf40f219e45557cf13c"),
+]
+
+
+@pytest.mark.parametrize("n,m0,seed,grown,digest", INSTANCE_DIGESTS)
+def test_instance_digest(n, m0, seed, grown, digest):
+    instance = generate(InstanceSpec(n, m0, seed))
+    text = serialize_edge_list(instance.graph).encode("ascii")
+    assert instance.edges_added_in_growth == grown
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+class TestDegreeGate:
+    def test_sound_against_oracle(self):
+        # every sampled graph with a vertex below the bound fails the oracle,
+        # and for each k some k-vsb graph sits exactly on the bound (in- or
+        # out-degree k, and undirected degree k+1), so a looser bound fails
+        rng = random.Random(2024)
+        tight = set()
+        for n in range(4, 9):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for _ in range(80):
+                p = rng.uniform(0.3, 1.0)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                for k in range(1, min(n - 1, 3) + 1):
+                    below = any(_below_degree_bound(g, v, k) for v in range(n))
+                    if not oracle_k_vsb(g, k):
+                        continue
+                    assert not below, (g.edges(), k)
+                    if min(min(g.in_degree(v), g.out_degree(v)) for v in range(n)) == k:
+                        tight.add((k, "directed"))
+                    if n >= k + 2 and min(
+                        len(g.in_neighbors(v) | g.out_neighbors(v)) for v in range(n)
+                    ) == k + 1:
+                        tight.add((k, "undirected"))
+        assert tight == {(k, kind) for k in (1, 2, 3) for kind in ("directed", "undirected")}
+
+    def test_undirected_degree(self):
+        # vertex 0 keeps in- and out-degree 3 but has only 3 neighbours: below
+        # the bound at n=5, while at n = k+1 = 4 the complete graph is 3-vsb
+        g = complete_bidirected(5)
+        g.remove_edge(0, 4)
+        g.remove_edge(4, 0)
+        assert _below_degree_bound(g, 0, 3)
+        assert not _below_degree_bound(g, 1, 3)
+        k4 = complete_bidirected(4)
+        assert not any(_below_degree_bound(k4, v, 3) for v in range(4))
+
+    @pytest.mark.parametrize("spec", [InstanceSpec(12, 48, 100001), InstanceSpec(20, 40, 1)])
+    def test_full_test_runs_only_above_bound(self, monkeypatch, spec):
+        calls = []
+
+        def counting_is_k_vsb(g, k):
+            assert not any(_below_degree_bound(g, v, 3) for v in range(g.n))
+            calls.append(g.m)
+            return is_k_vsb(g, k)
+
+        monkeypatch.setattr(generator, "is_k_vsb", counting_is_k_vsb)
+        instance = generate(spec)
+        assert instance.edges_added_in_growth > 0
+        assert calls == [instance.graph.m]
+
+    def test_already_3vsb_tested_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            generator, "is_k_vsb", lambda g, k: calls.append(g.m) or is_k_vsb(g, k)
+        )
+        grow_until_3vsb(complete_bidirected(5), seed=1)
+        assert calls == [20]
