@@ -37,7 +37,8 @@ def _fail(code: int, message: str) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        spec = InstanceSpec(args.n, args.mult * args.n, args.seed)
+        edges = None if args.mult is None else args.mult * args.n
+        spec = InstanceSpec(args.n, edges, args.seed)
         instance = generate(spec)
     except GraphError as exc:
         return _fail(1, str(exc))
@@ -129,6 +130,16 @@ def _sizes_arg(text: str) -> list[int]:
     return sizes
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vsbgraph",
@@ -138,9 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a random 3-vsb instance")
     gen.add_argument("--n", type=int, required=True, help="vertex count (>= 4)")
-    gen.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
     gen.add_argument(
-        "--mult", type=int, default=8, help="initial edges = mult * n (default 8)"
+        "--seed", type=_seed_arg, required=True, help="non-negative RNG seed"
+    )
+    gen.add_argument(
+        "--mult",
+        type=int,
+        default=None,
+        help="initial edges = mult * n (default: min(8n, n(n-1)))",
     )
     gen.add_argument("--out", required=True, help="output edge-list file")
     gen.set_defaults(handler=_cmd_gen)
@@ -170,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="candidate edge order (default input)",
     )
     minimize.add_argument(
-        "--seed", type=int, default=0, help="seed for --order shuffle"
+        "--seed", type=_seed_arg, default=0, help="seed for --order shuffle"
     )
     minimize.add_argument("--out", required=True, help="output edge-list file")
     minimize.set_defaults(handler=_cmd_minimize)

@@ -111,6 +111,60 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     return ConnectivityReport(True)
 
 
+def _stays_k_vsb(g: Digraph, k: int, u: int, v: int) -> bool:
+    """``is_k_vsb(g, k).verdict``, given that g plus the arc (u, v) is k-vsb.
+
+    The caller has just removed (u, v) from a k-vsb graph G; write e for
+    that arc and S for a deleted set of at most k-1 vertices.  G-S is
+    strongly biconnected for every such S, and only the residuals that
+    lost e can have changed:
+
+    - If S contains u or v, e is gone from G-S anyway, so G-e-S = G-S.
+      Only the subsets of V minus {u, v} are enumerated.
+    - G-S is strongly connected, and every path through e can be routed
+      around it along a u-to-v path, so G-e-S is strongly connected
+      exactly when u still reaches v: one search from u, stopped at v,
+      replaces the forward and backward searches.
+    - If the arc (v, u) exists, G-e-S has the same undirected view as
+      G-S, which has no articulation point; otherwise one lowpoint pass
+      over G-e-S decides it.
+    - When only u and v survive, the search fails because e is gone,
+      which is the two-vertex convention (both arcs needed).
+    """
+    n = g.n
+    out = g._out
+    undirected_kept = u in out[v]
+    others = [w for w in range(n) if w != u and w != v]
+    for size in range(k):
+        for subset in combinations(others, size):
+            if not _reaches(n, out, u, v, subset):
+                return False
+            if not undirected_kept and _articulation_vertices(
+                n, out, g._in, u, subset
+            ):
+                return False
+    return True
+
+
+def _reaches(
+    n: int, adj: list[set[int]], src: int, dst: int, blocked: tuple[int, ...]
+) -> bool:
+    """A path from src to dst along adj that avoids the blocked vertices."""
+    seen = bytearray(n)
+    for b in blocked:
+        seen[b] = 1
+    seen[src] = 1
+    stack = [src]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                if y == dst:
+                    return True
+                seen[y] = 1
+                stack.append(y)
+    return False
+
+
 def _below_degree_bound(g: Digraph, v: int, k: int) -> bool:
     """True when v's degrees alone show that g (with n > k) is not k-vsb.
 

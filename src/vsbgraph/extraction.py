@@ -13,7 +13,13 @@ removal keeps the graph k-vsb, and skip the edges marked *protected*.
   never tried).
 
 Each candidate test flips the edge's activity mask in a private working
-copy, so a test costs exactly one k-vsb evaluation and no graph rebuild.
+copy (no graph rebuild) and runs the local removability test
+``connectivity._stays_k_vsb``: the graph was k-vsb before the removal,
+so only the residuals that keep both ends of the edge are checked, each
+by one search for a path between those ends (plus a lowpoint pass when
+the reverse arc is absent).  Its verdict equals a full k-vsb evaluation;
+the precondition and the final recheck of every sweep are full
+:func:`is_k_vsb` calls, so each run cross-checks the local tests.
 Runs never share mutable state; distinct extractions may proceed
 concurrently.
 """
@@ -24,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connectivity import is_k_vsb
+from .connectivity import _below_degree_bound, _stays_k_vsb, is_k_vsb
 from .digraph import Digraph
 from .errors import NotKVsbError
 
@@ -35,8 +41,10 @@ Edge = tuple[int, int]
 class ExtractionStats:
     """edges_in/out plus the run's cost drivers.
 
-    ``tests_performed`` counts every k-vsb evaluation the run made
-    (precondition check, one per candidate edge, final verification);
+    ``tests_performed`` counts every k-vsb test the run made: the full
+    precondition check, one local removability test per candidate edge,
+    and the full final verification (the backbone's prefix search adds
+    one full test per probe);
     ``elapsed`` is wall time in seconds on a monotonic clock.
     """
 
@@ -94,7 +102,7 @@ def _sweep(
             continue
         work.remove_edge(u, v)
         tests += 1
-        if is_k_vsb(work, k).verdict:
+        if _stays_k_vsb(work, k, u, v):
             removed.append((u, v))
         else:
             work.restore_edge(u, v)
@@ -123,6 +131,23 @@ def minimal_k_vsb(
     return _sweep(g, k, candidates, frozenset(), 1, start)
 
 
+def _degree_bound_prefix(n: int, edges: list[Edge], k: int) -> int:
+    """Length of the shortest prefix of edges in which no vertex is below
+    the k-vsb degree bound (``connectivity._below_degree_bound``); the
+    caller guarantees that the whole list meets it."""
+    h = Digraph(n)
+    short = set(range(n))
+    for length, (u, v) in enumerate(edges, 1):
+        h.add_edge(u, v)
+        # degrees only grow, so a vertex that meets the bound keeps it
+        for x in (u, v):
+            if x in short and not _below_degree_bound(h, x, k):
+                short.discard(x)
+        if not short:
+            return length
+    raise ValueError("the edge list does not meet the degree bound")
+
+
 def compute_2vsb_spanning(
     g: Digraph, order: str = "input", seed: int | None = None
 ) -> ExtractionResult:
@@ -132,35 +157,37 @@ def compute_2vsb_spanning(
     Any spanning 2-vsb subgraph satisfies the backbone contract; this
     one is also minimal (no single edge of it can be dropped).  Strong
     biconnectivity is monotone under edge addition, so the shortest
-    2-vsb prefix of the candidate order is found by binary search over
-    the prefix length, discarding the whole suffix for ~log2(m) tests
-    instead of one test per suffix edge; the greedy deletion sweep then
-    runs inside that prefix only.  This keeps the backbone pass well
-    below the cost of the k=3 sweep it is protecting.
+    2-vsb prefix of the candidate order is found by a search over the
+    prefix length, discarding the whole suffix instead of testing each
+    suffix edge; the greedy deletion sweep then runs inside that prefix
+    only.  No prefix in which some vertex is below the 2-vsb degree
+    bound can pass, so the search starts at the shortest prefix that
+    meets the bound and probes it first.  That prefix is usually the
+    answer, so one probe usually suffices; otherwise the search bisects
+    the rest.
     """
     start = time.perf_counter()
     _require_k_vsb(g, 2)
     tests = 1
     edges = _ordered_candidates(g.edges(), order, seed)
-    lo, hi = 1, len(edges)
+    lo, hi = _degree_bound_prefix(g.n, edges, 2), len(edges)
+    mid = lo
     while lo < hi:
-        mid = (lo + hi) // 2
         tests += 1
         if is_k_vsb(Digraph(g.n, edges[:mid]), 2).verdict:
             hi = mid
         else:
             lo = mid + 1
-    inner = minimal_k_vsb(Digraph(g.n, edges[:lo]), k=2)
+        mid = (lo + hi) // 2
+    # the prefix is known to be 2-vsb (a probe or the precondition showed
+    # it), so it is swept without a precondition test of its own
+    prefix = Digraph(g.n, edges[:lo])
+    inner = _sweep(prefix, 2, prefix.edges(), frozenset(), tests, start)
     kept = set(inner.subgraph.edges())
     return replace(
         inner,
         removed=tuple(e for e in edges if e not in kept),
-        stats=replace(
-            inner.stats,
-            edges_in=g.m,
-            tests_performed=tests + inner.stats.tests_performed,
-            elapsed=time.perf_counter() - start,
-        ),
+        stats=replace(inner.stats, edges_in=g.m),
     )
 
 

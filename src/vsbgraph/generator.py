@@ -1,8 +1,9 @@
 """Random 3-vsb benchmark instances with deterministic seeding.
 
 Construction recipe: sample a fixed number of distinct arcs uniformly
-(default 8n), then insert further uniformly random absent arcs one at a
-time and stop at the first graph that is 3-vertex strongly biconnected.
+(default 8n, capped at all n(n-1) arcs, which binds at n <= 9), then
+insert further uniformly random absent arcs one at a time and stop at
+the first graph that is 3-vertex strongly biconnected.
 While some vertex has in- or out-degree below 3, or undirected degree
 below 4, the graph cannot be 3-vsb, so the full 3-vsb test runs only
 once every vertex meets that degree bound; the instance is the same as
@@ -37,10 +38,13 @@ MAX_VERTICES = 1_000
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Generator parameters; ``initial_edges`` defaults to 8n.
+    """Generator parameters; ``initial_edges`` defaults to min(8n, n(n-1)).
 
     ``n`` must lie in [4, :data:`MAX_VERTICES`]; above the limit
-    :class:`TooLargeError` is raised before anything is allocated.
+    :class:`TooLargeError` is raised before anything is allocated.  A
+    negative ``seed`` raises :class:`ValueError` (numpy seeds are
+    non-negative).  The default density is capped at the complete
+    digraph, so every n from 4 up has a default instance.
     """
 
     n: int
@@ -56,8 +60,12 @@ class InstanceSpec:
             raise TooLargeError(
                 f"{self.n} vertices exceed the generator limit of {MAX_VERTICES}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_edges is None:
-            object.__setattr__(self, "initial_edges", 8 * self.n)
+            object.__setattr__(
+                self, "initial_edges", min(8 * self.n, self.n * (self.n - 1))
+            )
         if not 0 <= self.initial_edges <= self.n * (self.n - 1):
             raise TooManyEdgesError(
                 f"{self.initial_edges} edges impossible on {self.n} vertices "

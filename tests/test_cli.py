@@ -38,9 +38,25 @@ class TestGen:
 
     def test_impossible_density_exits_1(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
-        code = main(["gen", "--n", "8", "--seed", "1", "--out", str(out)])
+        code = main(["gen", "--n", "8", "--seed", "1", "--mult", "8",
+                     "--out", str(out)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    def test_default_density_capped_at_complete_graph(self, tmp_path, capsys, n):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "--n", str(n), "--seed", "1", "--out", str(out)]) == 0
+        m0 = min(8 * n, n * (n - 1))
+        assert f"m0={m0}" in capsys.readouterr().out
+        assert parse_edge_list(out.read_text(encoding="ascii")).m == m0
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        code = main(["gen", "--n", "10", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vertex_limit_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(generator, "MAX_VERTICES", 9)
@@ -135,6 +151,16 @@ class TestMinimize:
             main(["minimize", "--in", src, "--algo", "minimal",
                   "--order", "shuffle", "--seed", "3", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        src = write_graph(tmp_path / "k5.txt", complete_bidirected(5))
+        out = tmp_path / "out.txt"
+        code = main(["minimize", "--in", src, "--algo", "minimal",
+                     "--order", "shuffle", "--seed", "-3", "--out", str(out)])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

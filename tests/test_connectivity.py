@@ -1,4 +1,7 @@
 """Connectivity predicates: verdicts, witnesses, and the k-level hierarchy."""
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -8,6 +11,7 @@ from vsbgraph import (
     is_k_vsb,
     is_strongly_biconnected,
     is_strongly_connected,
+    oracle_k_vsb,
 )
 from vsbgraph.connectivity import (
     ARTICULATION_POINT,
@@ -15,6 +19,7 @@ from vsbgraph.connectivity import (
     VERTEX_CUT,
     _articulation_vertices,
     _search_miss,
+    _stays_k_vsb,
 )
 from vsbgraph.oracle import _arc_masks, _component_mask, _sb_bruteforce
 
@@ -208,3 +213,72 @@ class TestKVsb:
             report = is_k_vsb(g, k) if k > 1 else is_strongly_biconnected(g)
             if not report.verdict:
                 assert replay_witness(g, report.witness)
+
+
+class TestLocalRemovability:
+    """The sweep's per-candidate test agrees with the full predicate."""
+
+    def test_agrees_with_full_test_and_oracle(self):
+        # every arc of sampled k-vsb digraphs, n=4..9 and k=1..3; the oracle
+        # is consulted up to n=7, where it is still cheap
+        rng = random.Random(4)
+        seen = set()
+        for n in range(4, 10):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for _ in range(12):
+                p = rng.uniform(0.45, 0.95)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                for k in range(1, min(n - 1, 3) + 1):
+                    if not is_k_vsb(g, k).verdict:
+                        continue
+                    for u, v in g.edges():
+                        g.remove_edge(u, v)
+                        local = _stays_k_vsb(g, k, u, v)
+                        assert local == is_k_vsb(g, k).verdict, (g.edges(), k, u, v)
+                        if n <= 7:
+                            assert local == oracle_k_vsb(g, k), (g.edges(), k, u, v)
+                        seen.add((k, local, g.has_edge(v, u)))
+                        g.restore_edge(u, v)
+        # both verdicts, with and without the reverse arc, at every k
+        assert seen == {
+            (k, local, rev)
+            for k in (1, 2, 3)
+            for local in (True, False)
+            for rev in (True, False)
+        }
+
+    # k-vsb graphs with an arc (u, v) whose reverse is absent: removing it
+    # keeps every residual strongly connected, but one residual gains an
+    # articulation point, so only the lowpoint pass can reject it
+    ARTICULATION_ONLY = [
+        (1, 5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (0, 3)], 0, 3),
+        (2, 5, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (1, 4),
+                (2, 0), (2, 4), (3, 0), (3, 1), (4, 0), (4, 2), (4, 3)], 1, 2),
+        (3, 6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 0), (1, 3), (1, 5),
+                (2, 0), (2, 1), (2, 3), (2, 4), (2, 5), (3, 0), (3, 1),
+                (3, 2), (3, 4), (3, 5), (4, 0), (4, 2), (4, 3), (4, 5),
+                (5, 0), (5, 1), (5, 2), (5, 3)], 4, 5),
+    ]
+
+    @pytest.mark.parametrize("k,n,edges,u,v", ARTICULATION_ONLY)
+    def test_articulation_point_without_reverse_arc(self, k, n, edges, u, v):
+        g = Digraph(n, edges)
+        assert is_k_vsb(g, k).verdict and not g.has_edge(v, u)
+        g.remove_edge(u, v)
+        others = [w for w in range(n) if w not in (u, v)]
+        for size in range(k):
+            for subset in combinations(others, size):
+                assert first_miss(g, u, subset) is None
+                assert _search_miss(n, g._in, u, subset) is None
+        report = is_k_vsb(g, k)
+        assert not report.verdict
+        assert cut_vertices(g, u, report.witness.vertices)
+        assert not _stays_k_vsb(g, k, u, v)
+
+    def test_two_survivors_need_both_arcs(self):
+        # at n = k+1 the residual that keeps only u and v has lost (u, v)
+        for k in (1, 2, 3):
+            g = complete_bidirected(k + 1)
+            g.remove_edge(0, 1)
+            assert not _stays_k_vsb(g, k, 0, 1)
+            assert not is_k_vsb(g, k).verdict

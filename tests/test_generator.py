@@ -27,6 +27,18 @@ class TestInstanceSpec:
     def test_default_initial_edges(self):
         assert InstanceSpec(10, seed=1).initial_edges == 80
 
+    def test_default_capped_at_complete_graph(self):
+        # min(8n, n(n-1)): every arc up to n=9, where the two meet
+        assert [InstanceSpec(n, seed=1).initial_edges for n in range(4, 11)] == [
+            12, 20, 30, 42, 56, 72, 80
+        ]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            InstanceSpec(10, seed=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            grow_until_3vsb(complete_bidirected(4), seed=-1)
+
     def test_too_few_vertices(self):
         with pytest.raises(TooFewVerticesError):
             InstanceSpec(3, seed=1)
