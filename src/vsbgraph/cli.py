@@ -196,7 +196,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sizes", type=_sizes_arg, required=True, help="comma-separated n values"
     )
     bench.add_argument("--seeds-per-size", type=int, default=3)
-    bench.add_argument("--mult", type=int, default=8)
+    bench.add_argument(
+        "--mult",
+        type=int,
+        default=None,
+        help="initial edges = mult * n (default: min(8n, n(n-1)))",
+    )
     bench.add_argument("--format", choices=("csv", "md"), default="csv")
     bench.add_argument("--out", default=None, help="output file (default stdout)")
     bench.add_argument(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -189,6 +189,27 @@ def _below_degree_bound(g: Digraph, v: int, k: int) -> bool:
     if len(out) < k or len(inn) < k:
         return True
     return g.n >= k + 2 and len(out | inn) < k + 1
+
+
+def _degree_gated(
+    g: Digraph, arcs: Iterable[tuple[int, int]], k: int
+) -> Iterator[int]:
+    """Add ``arcs`` to g one at a time; yield the number added so far
+    whenever no vertex is below the k-vsb degree bound, including 0 if g
+    meets it already.  Degrees only grow, so after the first yield it
+    yields after every further arc."""
+    short = {v for v in range(g.n) if _below_degree_bound(g, v, k)}
+    added = 0
+    if not short:
+        yield added
+    for u, v in arcs:
+        g.add_edge(u, v)
+        added += 1
+        for x in (u, v):
+            if x in short and not _below_degree_bound(g, x, k):
+                short.discard(x)
+        if not short:
+            yield added
 
 
 def _search_miss(

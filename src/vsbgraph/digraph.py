@@ -39,16 +39,15 @@ MAX_FIELD_DIGITS = 18
 class Digraph:
     """Simple directed graph: no self-loops, no parallel arcs."""
 
-    __slots__ = ("n", "_src", "_dst", "_alive", "_pos", "_out", "_in", "_m")
+    __slots__ = ("n", "_edges", "_out", "_in", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self._src: list[int] = []
-        self._dst: list[int] = []
-        self._alive = bytearray()
-        self._pos: dict[tuple[int, int], int] = {}
+        # every arc ever inserted, in insertion order, mapped to whether it
+        # is active; reassigning a key keeps its position
+        self._edges: dict[tuple[int, int], bool] = {}
         self._out: list[set[int]] = [set() for _ in range(n)]
         self._in: list[set[int]] = [set() for _ in range(n)]
         self._m = 0
@@ -62,16 +61,10 @@ class Digraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Active edges in sequence order."""
-        alive = self._alive
-        return [
-            (u, v)
-            for i, (u, v) in enumerate(zip(self._src, self._dst))
-            if alive[i]
-        ]
+        return [e for e, alive in self._edges.items() if alive]
 
     def has_edge(self, u: int, v: int) -> bool:
-        i = self._pos.get((u, v))
-        return i is not None and bool(self._alive[i])
+        return self._edges.get((u, v), False)
 
     def out_neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
@@ -99,38 +92,30 @@ class Digraph:
         self._check_vertex(v)
         if u == v:
             raise SelfLoopError(f"self-loop ({u}, {v}) not allowed")
-        i = self._pos.get((u, v))
-        if i is not None:
-            if self._alive[i]:
-                raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-            self._alive[i] = 1
-        else:
-            self._pos[(u, v)] = len(self._src)
-            self._src.append(u)
-            self._dst.append(v)
-            self._alive.append(1)
-        self._out[u].add(v)
-        self._in[v].add(u)
-        self._m += 1
+        if self._edges.get((u, v)):
+            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+        self._activate(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
         """Deactivate the arc (u, v); its slot is kept for restoration."""
-        i = self._pos.get((u, v))
-        if i is None or not self._alive[i]:
+        if not self._edges.get((u, v)):
             raise EdgeAbsentError(f"edge ({u}, {v}) not present")
-        self._alive[i] = 0
+        self._edges[(u, v)] = False
         self._out[u].discard(v)
         self._in[v].discard(u)
         self._m -= 1
 
     def restore_edge(self, u: int, v: int) -> None:
         """Reactivate a previously removed arc at its original position."""
-        i = self._pos.get((u, v))
-        if i is None:
+        alive = self._edges.get((u, v))
+        if alive is None:
             raise EdgeAbsentError(f"edge ({u}, {v}) was never present")
-        if self._alive[i]:
+        if alive:
             raise DuplicateEdgeError(f"edge ({u}, {v}) is already active")
-        self._alive[i] = 1
+        self._activate(u, v)
+
+    def _activate(self, u: int, v: int) -> None:
+        self._edges[(u, v)] = True
         self._out[u].add(v)
         self._in[v].add(u)
         self._m += 1

@@ -18,8 +18,9 @@ copy (no graph rebuild) and runs the local removability test
 so only the residuals that keep both ends of the edge are checked, each
 by one search for a path between those ends (plus a lowpoint pass when
 the reverse arc is absent).  Its verdict equals a full k-vsb evaluation;
-the precondition and the final recheck of every sweep are full
-:func:`is_k_vsb` calls, so each run cross-checks the local tests.
+the precondition (for the backbone, its passing prefix probe) and the
+final recheck of every sweep are full :func:`is_k_vsb` calls, so each
+run cross-checks the local tests.
 Runs never share mutable state; distinct extractions may proceed
 concurrently.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connectivity import _below_degree_bound, _stays_k_vsb, is_k_vsb
+from .connectivity import _degree_gated, _stays_k_vsb, is_k_vsb
 from .digraph import Digraph
 from .errors import NotKVsbError
 
@@ -43,8 +44,8 @@ class ExtractionStats:
 
     ``tests_performed`` counts every k-vsb test the run made: the full
     precondition check, one local removability test per candidate edge,
-    and the full final verification (the backbone's prefix search adds
-    one full test per probe);
+    and the full final verification.  The backbone makes no precondition
+    check; it counts one full test per prefix probe instead;
     ``elapsed`` is wall time in seconds on a monotonic clock.
     """
 
@@ -131,23 +132,6 @@ def minimal_k_vsb(
     return _sweep(g, k, candidates, frozenset(), 1, start)
 
 
-def _degree_bound_prefix(n: int, edges: list[Edge], k: int) -> int:
-    """Length of the shortest prefix of edges in which no vertex is below
-    the k-vsb degree bound (``connectivity._below_degree_bound``); the
-    caller guarantees that the whole list meets it."""
-    h = Digraph(n)
-    short = set(range(n))
-    for length, (u, v) in enumerate(edges, 1):
-        h.add_edge(u, v)
-        # degrees only grow, so a vertex that meets the bound keeps it
-        for x in (u, v):
-            if x in short and not _below_degree_bound(h, x, k):
-                short.discard(x)
-        if not short:
-            return length
-    raise ValueError("the edge list does not meet the degree bound")
-
-
 def compute_2vsb_spanning(
     g: Digraph, order: str = "input", seed: int | None = None
 ) -> ExtractionResult:
@@ -156,32 +140,30 @@ def compute_2vsb_spanning(
 
     Any spanning 2-vsb subgraph satisfies the backbone contract; this
     one is also minimal (no single edge of it can be dropped).  Strong
-    biconnectivity is monotone under edge addition, so the shortest
-    2-vsb prefix of the candidate order is found by a search over the
-    prefix length, discarding the whole suffix instead of testing each
-    suffix edge; the greedy deletion sweep then runs inside that prefix
-    only.  No prefix in which some vertex is below the 2-vsb degree
-    bound can pass, so the search starts at the shortest prefix that
-    meets the bound and probes it first.  That prefix is usually the
-    answer, so one probe usually suffices; otherwise the search bisects
-    the rest.
+    biconnectivity is monotone under edge addition, so the greedy
+    deletion sweep runs only inside the shortest 2-vsb prefix of the
+    candidate order.  A linear scan finds it, probing first the shortest
+    prefix that meets the 2-vsb degree bound (``connectivity._degree_gated``;
+    no shorter prefix can pass, and that one usually does), then one more
+    edge per probe.  There is no separate precondition test: on an input
+    that is not 2-vsb the last probe is the whole input, after up to m
+    minus that first length failing probes, and its witness is raised as
+    :class:`NotKVsbError`.  Only direct calls reach that path, since
+    :func:`two_phase_3vsb` has shown its input 3-vsb.
     """
     start = time.perf_counter()
-    _require_k_vsb(g, 2)
-    tests = 1
     edges = _ordered_candidates(g.edges(), order, seed)
-    lo, hi = _degree_bound_prefix(g.n, edges, 2), len(edges)
-    mid = lo
-    while lo < hi:
-        tests += 1
-        if is_k_vsb(Digraph(g.n, edges[:mid]), 2).verdict:
-            hi = mid
-        else:
-            lo = mid + 1
-        mid = (lo + hi) // 2
-    # the prefix is known to be 2-vsb (a probe or the precondition showed
-    # it), so it is swept without a precondition test of its own
-    prefix = Digraph(g.n, edges[:lo])
+    prefix = Digraph(g.n)
+    report = None
+    for tests, _ in enumerate(_degree_gated(prefix, edges, 2), 1):
+        report = is_k_vsb(prefix, 2)
+        if report.verdict:
+            break
+    else:
+        if report is None:  # no prefix, not even the whole input, met the bound
+            report = is_k_vsb(g, 2)
+        raise NotKVsbError(2, report.witness)
+    # the passing probe stands in for the sweep's precondition test
     inner = _sweep(prefix, 2, prefix.edges(), frozenset(), tests, start)
     kept = set(inner.subgraph.edges())
     return replace(

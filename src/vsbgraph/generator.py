@@ -7,22 +7,26 @@ the first graph that is 3-vertex strongly biconnected.
 While some vertex has in- or out-degree below 3, or undirected degree
 below 4, the graph cannot be 3-vsb, so the full 3-vsb test runs only
 once every vertex meets that degree bound; the instance is the same as
-if it ran after every insertion.  Randomness comes from numpy's PCG64
+if it ran after every insertion (``connectivity._degree_gated``, the
+extraction backbone's gate too).  Randomness comes from numpy's PCG64
 generator, so a spec (n, initial edge count, 64-bit seed) pins the
 instance exactly.
 
 Arcs are addressed through the bijection between [0, n(n-1)) and
-ordered pairs (u, v), v skipping u; sampling without replacement is a
-partial Fisher-Yates shuffle of that index space, which is uniform and
-needs no rejection loop at high densities.
+ordered pairs (u, v), v skipping u; sampling without replacement, of
+the initial arcs and of the grown ones, is a lazy partial Fisher-Yates
+shuffle of that index space, which is uniform and needs no rejection
+loop at high densities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .connectivity import _below_degree_bound, is_k_vsb
+from .connectivity import _degree_gated, is_k_vsb
 from .digraph import Digraph
 from .errors import (
     SaturatedError,
@@ -85,16 +89,21 @@ def _arc_pair(index: int, n: int) -> tuple[int, int]:
     return u, r if r < u else r + 1
 
 
+def _draw(pool: list[int], rng: np.random.Generator) -> Iterator[int]:
+    """Items of pool in uniformly random order, drawn lazily: a partial
+    Fisher-Yates shuffle that makes one ``rng.integers`` call per item."""
+    for i in range(len(pool)):
+        j = int(rng.integers(i, len(pool)))
+        pool[i], pool[j] = pool[j], pool[i]
+        yield pool[i]
+
+
 def random_digraph(spec: InstanceSpec) -> Digraph:
     """Uniform simple digraph with exactly ``spec.initial_edges`` arcs."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    total = n * (n - 1)
-    pool = list(range(total))
-    for i in range(spec.initial_edges):
-        j = int(rng.integers(i, total))
-        pool[i], pool[j] = pool[j], pool[i]
-    return Digraph(n, [_arc_pair(idx, n) for idx in pool[: spec.initial_edges]])
+    picks = islice(_draw(list(range(n * (n - 1))), rng), spec.initial_edges)
+    return Digraph(n, [_arc_pair(i, n) for i in picks])
 
 
 def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
@@ -111,29 +120,16 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     if g.n < 4:
         raise TooFewVerticesError(f"growth needs at least 4 vertices, got {g.n}")
     spec = InstanceSpec(g.n, g.m, seed)
-    rng = np.random.default_rng(seed)
     work = g.copy()
     n = work.n
     absent = [
         i for i in range(n * (n - 1)) if not work.has_edge(*_arc_pair(i, n))
     ]
-    short = {v for v in range(n) if _below_degree_bound(work, v, 3)}
-    added = 0
-    while short or not is_k_vsb(work, 3).verdict:
-        if added == len(absent):
-            raise SaturatedError(
-                "graph became complete without passing the 3-vsb test"
-            )
-        j = int(rng.integers(added, len(absent)))
-        absent[added], absent[j] = absent[j], absent[added]
-        u, v = _arc_pair(absent[added], n)
-        work.add_edge(u, v)
-        added += 1
-        # degrees only grow, so a vertex that meets the bound keeps it
-        for x in (u, v):
-            if x in short and not _below_degree_bound(work, x, 3):
-                short.discard(x)
-    return GeneratedInstance(spec, work, added)
+    arcs = (_arc_pair(i, n) for i in _draw(absent, np.random.default_rng(seed)))
+    for added in _degree_gated(work, arcs, 3):
+        if is_k_vsb(work, 3).verdict:
+            return GeneratedInstance(spec, work, added)
+    raise SaturatedError("graph became complete without passing the 3-vsb test")
 
 
 def generate(spec: InstanceSpec) -> GeneratedInstance:

@@ -70,21 +70,34 @@ class ExperimentRow:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Sizes to run, seeds per size (1..seeds_per_size), m0 = multiplier*n."""
+    """Sizes to run, seeds per size (1..seeds_per_size), m0 = multiplier*n
+    (None: :class:`InstanceSpec`'s default min(8n, n(n-1))).  A size that
+    makes no valid spec raises :class:`ValueError` before any row runs."""
 
     sizes: tuple[int, ...]
     seeds_per_size: int = 3
-    multiplier: int = 8
+    multiplier: int | None = 8
 
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("plan needs at least one instance size")
-        if any(n < 4 for n in self.sizes):
-            raise ValueError("instance sizes must be at least 4")
         if self.seeds_per_size < 1:
             raise ValueError("seeds_per_size must be at least 1")
-        if self.multiplier < 1:
+        if self.multiplier is not None and self.multiplier < 1:
             raise ValueError("multiplier must be at least 1")
+        try:
+            self._specs()
+        except GraphError as exc:
+            raise ValueError(str(exc)) from None
+
+    def _specs(self) -> list[InstanceSpec]:
+        """One instance spec per row, in plan order."""
+        mult = self.multiplier
+        return [
+            InstanceSpec(n, None if mult is None else mult * n, seed)
+            for n in self.sizes
+            for seed in range(1, self.seeds_per_size + 1)
+        ]
 
 
 def _timed_extractions(
@@ -107,15 +120,13 @@ def _timed_extractions(
     return full, (t1 - t0) * 1e3, two_phase, (t2 - t1) * 1e3
 
 
-def _run_row(task: tuple[int, int, int]) -> ExperimentRow:
-    n, initial_edges, seed = task
-    instance = generate(InstanceSpec(n, initial_edges, seed))
-    g = instance.graph
+def _run_row(spec: InstanceSpec) -> ExperimentRow:
+    g = generate(spec).graph
     full, full_ms, two_phase, two_phase_ms = _timed_extractions(g)
     return ExperimentRow(
-        n=n,
+        n=spec.n,
         m_input=g.m,
-        seed=seed,
+        seed=spec.seed,
         algo1_time_ms=full_ms,
         algo1_edges=full.subgraph.m,
         algo2_time_ms=two_phase_ms,
@@ -131,11 +142,7 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow]:
     """Run every (size, seed) cell; a failing row is reported and skipped."""
-    tasks = [
-        (n, plan.multiplier * n, seed)
-        for n in plan.sizes
-        for seed in range(1, plan.seeds_per_size + 1)
-    ]
+    tasks = plan._specs()
     rows: list[ExperimentRow] = []
     workers = _pool_size(workers, len(tasks))
     if workers <= 1:
@@ -155,10 +162,10 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow
     return rows
 
 
-def _report_row_failure(task: tuple[int, int, int], exc: GraphError) -> None:
-    n, initial_edges, seed = task
+def _report_row_failure(spec: InstanceSpec, exc: GraphError) -> None:
     print(
-        f"row (n={n}, m0={initial_edges}, seed={seed}) failed: {exc}",
+        f"row (n={spec.n}, m0={spec.initial_edges}, seed={spec.seed}) "
+        f"failed: {exc}",
         file=sys.stderr,
     )
 

@@ -3,6 +3,7 @@ import pytest
 
 from vsbgraph import (
     Digraph,
+    cli,
     digraph,
     generator,
     oracle_is_minimal,
@@ -181,6 +182,22 @@ class TestBench:
 
     def test_bad_sizes_exit_2(self):
         assert main(["bench", "--sizes", "abc"]) == 2
+
+    def test_default_density_capped_at_complete_graph(self, capsys):
+        # without --mult, m0 is the generator's min(8n, n(n-1)) = 56 at n=8
+        assert main(["bench", "--sizes", "8", "--seeds-per-size", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("8,56,1,")
+
+    @pytest.mark.parametrize("extra", [["--sizes", "2000"],
+                                       ["--sizes", "10,8", "--mult", "8"]])
+    def test_impossible_plan_exits_2_before_any_row(self, monkeypatch, extra):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an invalid plan must not run rows")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(["bench", *extra]) == 2
 
     def test_empty_sizes_exit_2(self):
         assert main(["bench", "--sizes", ","]) == 2

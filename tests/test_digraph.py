@@ -71,6 +71,17 @@ class TestRemoveRestore:
         g.restore_edge(1, 2)
         assert g.edges() == C3_EDGES
 
+    def test_re_add_keeps_position(self):
+        g = Digraph(3, C3_EDGES)
+        g.remove_edge(0, 1)
+        g.add_edge(0, 1)
+        assert g.edges() == C3_EDGES
+
+    def test_restore_never_present_fails(self):
+        g = Digraph(3, C3_EDGES)
+        with pytest.raises(EdgeAbsentError):
+            g.restore_edge(1, 0)
+
     def test_restore_active_edge_fails(self):
         g = Digraph(3, C3_EDGES)
         with pytest.raises(DuplicateEdgeError):

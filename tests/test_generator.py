@@ -18,7 +18,7 @@ from vsbgraph import (
     random_digraph,
     serialize_edge_list,
 )
-from vsbgraph.connectivity import _below_degree_bound
+from vsbgraph.connectivity import _below_degree_bound, _degree_gated
 
 from graphutil import complete_bidirected
 
@@ -210,6 +210,33 @@ class TestDegreeGate:
         assert not _below_degree_bound(g, 1, 3)
         k4 = complete_bidirected(4)
         assert not any(_below_degree_bound(k4, v, 3) for v in range(4))
+
+    def test_gate_yields_from_shortest_bounded_prefix(self):
+        # the first yield is the shortest prefix with no vertex below the
+        # bound (0 when the start graph meets it), then one per later arc
+        rng = random.Random(7)
+        assert list(_degree_gated(complete_bidirected(4), [], 3)) == [0]
+        for n in range(4, 8):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for k in (1, 2, 3):
+                for _ in range(5):
+                    rng.shuffle(arcs)
+                    first = next(
+                        length for length in range(len(arcs) + 1)
+                        if not any(
+                            _below_degree_bound(Digraph(n, arcs[:length]), v, k)
+                            for v in range(n)
+                        )
+                    )
+                    g = Digraph(n)
+                    assert list(_degree_gated(g, arcs, k)) == list(
+                        range(first, len(arcs) + 1)
+                    )
+                    assert g.edges() == arcs
+                    start = Digraph(n, arcs[:first])
+                    gated = _degree_gated(start, arcs[first:], k)
+                    assert next(gated) == 0
+                    assert start.m == first
 
     @pytest.mark.parametrize("spec", [InstanceSpec(12, 48, 100001), InstanceSpec(20, 40, 1)])
     def test_full_test_runs_only_above_bound(self, monkeypatch, spec):

@@ -4,6 +4,7 @@ import pytest
 from vsbgraph import (
     ExperimentPlan,
     ExperimentRow,
+    InstanceSpec,
     emit_table,
     format_duration,
     harness,
@@ -29,6 +30,14 @@ class TestPlanValidation:
     def test_small_size_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(sizes=(3,))
+
+    def test_sizes_checked_against_instance_spec(self):
+        with pytest.raises(ValueError, match="generator limit"):
+            ExperimentPlan(sizes=(10, 2000))
+        with pytest.raises(ValueError, match="impossible"):
+            ExperimentPlan(sizes=(8,), multiplier=8)
+        plan = ExperimentPlan(sizes=(8,), seeds_per_size=1, multiplier=None)
+        assert plan._specs() == [InstanceSpec(8, 56, 1)]
 
     def test_defaults(self):
         plan = ExperimentPlan(sizes=(10, 20))
