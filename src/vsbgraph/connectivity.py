@@ -7,9 +7,10 @@ k-1 vertices leaves a strongly biconnected graph; the empty set is
 included, so k-vsb implies strong biconnectivity and the k levels form a
 hierarchy.
 
-Small-graph conventions (they arise in deletion residuals and are fixed
-here explicitly): a single vertex is strongly biconnected; two vertices
-are strongly biconnected iff both arcs between them are present.
+Small-graph conventions (they arise in deletion residuals and follow
+from the general search, with no special case): a single vertex is
+strongly biconnected; two vertices are strongly biconnected iff both
+arcs between them are present.
 
 Every negative verdict carries a witness that can be replayed
 independently: an unreachable ordered pair, an articulation point, or a
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -71,21 +72,17 @@ def is_strongly_connected(g: Digraph) -> ConnectivityReport:
     """
     if g.n < 1:
         raise TooFewVerticesError("strong connectivity needs at least one vertex")
-    if g.n == 1:
+    pair = _unreachable_pair(g, 0, ())
+    if pair is None:
         return ConnectivityReport(True)
-    for adj, backward in ((g._out, False), (g._in, True)):
-        missing = _search_miss(g.n, adj, 0, frozenset())
-        if missing is not None:
-            pair = (missing, 0) if backward else (0, missing)
-            return ConnectivityReport(False, Witness(UNREACHABLE_PAIR, pair))
-    return ConnectivityReport(True)
+    return ConnectivityReport(False, Witness(UNREACHABLE_PAIR, pair))
 
 
 def is_strongly_biconnected(g: Digraph) -> ConnectivityReport:
     """Strongly connected with no articulation point in the undirected view."""
     if g.n < 1:
         raise TooFewVerticesError("strong biconnectivity needs at least one vertex")
-    witness = _strong_biconnectivity_witness(g, frozenset())
+    witness = _strong_biconnectivity_witness(g, ())
     if witness is None:
         return ConnectivityReport(True)
     return ConnectivityReport(False, witness)
@@ -213,10 +210,7 @@ def _degree_gated(
 
 
 def _search_miss(
-    n: int,
-    adj: list[set[int]],
-    root: int,
-    blocked: AbstractSet[int] | tuple[int, ...],
+    n: int, adj: list[set[int]], root: int, blocked: tuple[int, ...]
 ) -> int | None:
     """First vertex not reached from root along adj, or None if all are."""
     seen = bytearray(n)
@@ -234,34 +228,33 @@ def _search_miss(
     return None
 
 
+def _unreachable_pair(
+    g: Digraph, root: int, blocked: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """A pair (root, v) or (v, root) with no path avoiding the blocked
+    vertices, or None: one forward and one backward search from root."""
+    missing = _search_miss(g.n, g._out, root, blocked)
+    if missing is not None:
+        return root, missing
+    missing = _search_miss(g.n, g._in, root, blocked)
+    if missing is not None:
+        return missing, root
+    return None
+
+
 def _strong_biconnectivity_witness(
-    g: Digraph, blocked: AbstractSet[int] | tuple[int, ...]
+    g: Digraph, blocked: tuple[int, ...]
 ) -> Witness | None:
     """Strong-biconnectivity check of g with the blocked vertices ignored.
 
     Returns None when the residual graph is strongly biconnected,
     otherwise a witness in g's own vertex ids.
     """
-    n = g.n
-    out = g._out
-    inn = g._in
-    survivors = n - len(blocked)
-    if survivors == 1:
-        return None
-    if survivors == 2:
-        u, v = (w for w in range(n) if w not in blocked)
-        if v not in out[u]:
-            return Witness(UNREACHABLE_PAIR, (u, v))
-        if u not in out[v]:
-            return Witness(UNREACHABLE_PAIR, (v, u))
-        return None
-    root = next(w for w in range(n) if w not in blocked)
-    for adj, backward in ((out, False), (inn, True)):
-        missing = _search_miss(n, adj, root, blocked)
-        if missing is not None:
-            pair = (missing, root) if backward else (root, missing)
-            return Witness(UNREACHABLE_PAIR, pair)
-    cut_vertices = _articulation_vertices(n, out, inn, root, blocked)
+    root = next(w for w in range(g.n) if w not in blocked)
+    pair = _unreachable_pair(g, root, blocked)
+    if pair is not None:
+        return Witness(UNREACHABLE_PAIR, pair)
+    cut_vertices = _articulation_vertices(g.n, g._out, g._in, root, blocked)
     if cut_vertices:
         return Witness(ARTICULATION_POINT, (min(cut_vertices),))
     return None
@@ -272,7 +265,7 @@ def _articulation_vertices(
     out: list[set[int]],
     inn: list[set[int]],
     root: int,
-    blocked: AbstractSet[int] | tuple[int, ...],
+    blocked: tuple[int, ...],
 ) -> set[int]:
     """Articulation points of the undirected view of root's component.
 

@@ -3,9 +3,11 @@
 Vertices are the dense integers ``0..n-1``.  Edges form an ordered
 sequence; insertion order is significant (the greedy extraction
 algorithms iterate edges in it) and is preserved by serialization.
-Removing an edge clears an activity flag over the immutable edge
-sequence instead of rebuilding adjacency, so a remove/restore pair costs
-O(degree) and a restored edge reappears at its original position.
+The sequence records every arc ever inserted, each with an activity
+flag; it only grows.  Removing an edge clears its flag instead of
+rebuilding adjacency, and restoring it goes through ``add_edge``, which
+sets the flag again, so a remove/restore pair costs O(degree) and a
+restored edge reappears at its original position.
 
 A :class:`Digraph` may be shared read-only across threads; the mutating
 methods (``add_edge``, ``remove_edge``, ``restore_edge``) require
@@ -94,7 +96,10 @@ class Digraph:
             raise SelfLoopError(f"self-loop ({u}, {v}) not allowed")
         if self._edges.get((u, v)):
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        self._activate(u, v)
+        self._edges[(u, v)] = True
+        self._out[u].add(v)
+        self._in[v].add(u)
+        self._m += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Deactivate the arc (u, v); its slot is kept for restoration."""
@@ -106,19 +111,11 @@ class Digraph:
         self._m -= 1
 
     def restore_edge(self, u: int, v: int) -> None:
-        """Reactivate a previously removed arc at its original position."""
-        alive = self._edges.get((u, v))
-        if alive is None:
+        """Reactivate a previously removed arc at its original position;
+        an arc that is already active raises :class:`DuplicateEdgeError`."""
+        if (u, v) not in self._edges:
             raise EdgeAbsentError(f"edge ({u}, {v}) was never present")
-        if alive:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) is already active")
-        self._activate(u, v)
-
-    def _activate(self, u: int, v: int) -> None:
-        self._edges[(u, v)] = True
-        self._out[u].add(v)
-        self._in[v].add(u)
-        self._m += 1
+        self.add_edge(u, v)
 
     def copy(self) -> Digraph:
         """Independent copy holding only the active edges."""

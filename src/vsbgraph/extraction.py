@@ -45,7 +45,8 @@ class ExtractionStats:
     ``tests_performed`` counts every k-vsb test the run made: the full
     precondition check, one local removability test per candidate edge,
     and the full final verification.  The backbone makes no precondition
-    check; it counts one full test per prefix probe instead;
+    check; it counts one full test per prefix probe instead, plus one
+    full test of its input when the first probe fails;
     ``elapsed`` is wall time in seconds on a monotonic clock.
     """
 
@@ -145,24 +146,25 @@ def compute_2vsb_spanning(
     candidate order.  A linear scan finds it, probing first the shortest
     prefix that meets the 2-vsb degree bound (``connectivity._degree_gated``;
     no shorter prefix can pass, and that one usually does), then one more
-    edge per probe.  There is no separate precondition test: on an input
-    that is not 2-vsb the last probe is the whole input, after up to m
-    minus that first length failing probes, and its witness is raised as
-    :class:`NotKVsbError`.  Only direct calls reach that path, since
-    :func:`two_phase_3vsb` has shown its input 3-vsb.
+    edge per probe.  There is no precondition test up front: only when
+    the first probe fails, or the degree bound is never met, is the whole
+    input tested once, and if it is not 2-vsb that test's witness is
+    raised as :class:`NotKVsbError`.  Only direct calls reach that path,
+    since :func:`two_phase_3vsb` has shown its input 3-vsb.
     """
     start = time.perf_counter()
     edges = _ordered_candidates(g.edges(), order, seed)
     prefix = Digraph(g.n)
-    report = None
-    for tests, _ in enumerate(_degree_gated(prefix, edges, 2), 1):
-        report = is_k_vsb(prefix, 2)
-        if report.verdict:
+    tests = 0
+    for _ in _degree_gated(prefix, edges, 2):
+        tests += 1
+        if is_k_vsb(prefix, 2).verdict:
             break
-    else:
-        if report is None:  # no prefix, not even the whole input, met the bound
-            report = is_k_vsb(g, 2)
-        raise NotKVsbError(2, report.witness)
+        if tests == 1:  # the first probe failed: is any prefix 2-vsb?
+            tests += 1
+            _require_k_vsb(g, 2)
+    else:  # not even the whole input met the degree bound: this raises
+        _require_k_vsb(g, 2)
     # the passing probe stands in for the sweep's precondition test
     inner = _sweep(prefix, 2, prefix.edges(), frozenset(), tests, start)
     kept = set(inner.subgraph.edges())

@@ -117,8 +117,6 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     space is exhausted because the complete bidirected graph on n >= 4
     vertices is 3-vsb; running out anyway raises :class:`SaturatedError`.
     """
-    if g.n < 4:
-        raise TooFewVerticesError(f"growth needs at least 4 vertices, got {g.n}")
     spec = InstanceSpec(g.n, g.m, seed)
     work = g.copy()
     n = work.n

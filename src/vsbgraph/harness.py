@@ -10,7 +10,8 @@ Times are reported in milliseconds and are the only non-reproducible
 columns.  Rows run sequentially by default ("one core" comparability);
 opt-in process parallelism distributes whole rows, never the inside of
 an algorithm, and output keeps plan order regardless of completion
-order.
+order.  Every row's instance spec is checked when the plan is built, so
+a row raises only on an internal error, which propagates.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import csv
 import gc
 import io
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +37,10 @@ CSV_COLUMNS = (
     "algo2_time_ms",
     "algo2_edges",
 )
+
+# Largest number of rows a plan accepts: the plan builds every row's
+# instance spec up front, about 136 bytes each.
+MAX_ROWS = 10_000
 
 _MD_HEADER = (
     "| Input (V, E) | Algorithm 1 Time | Algorithm 1 Edges "
@@ -71,18 +75,22 @@ class ExperimentRow:
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Sizes to run, seeds per size (1..seeds_per_size), m0 = multiplier*n
-    (None: :class:`InstanceSpec`'s default min(8n, n(n-1))).  A size that
-    makes no valid spec raises :class:`ValueError` before any row runs."""
+    (None, the default: :class:`InstanceSpec`'s min(8n, n(n-1))).  A size
+    that makes no valid spec, or more than :data:`MAX_ROWS` rows, raises
+    :class:`ValueError` before any row runs."""
 
     sizes: tuple[int, ...]
     seeds_per_size: int = 3
-    multiplier: int | None = 8
+    multiplier: int | None = None
 
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("plan needs at least one instance size")
         if self.seeds_per_size < 1:
             raise ValueError("seeds_per_size must be at least 1")
+        rows = len(self.sizes) * self.seeds_per_size
+        if rows > MAX_ROWS:
+            raise ValueError(f"{rows} rows exceed the limit of {MAX_ROWS}")
         if self.multiplier is not None and self.multiplier < 1:
             raise ValueError("multiplier must be at least 1")
         try:
@@ -141,33 +149,13 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow]:
-    """Run every (size, seed) cell; a failing row is reported and skipped."""
+    """Run every (size, seed) cell and return the rows in plan order."""
     tasks = plan._specs()
-    rows: list[ExperimentRow] = []
     workers = _pool_size(workers, len(tasks))
     if workers <= 1:
-        for task in tasks:
-            try:
-                rows.append(_run_row(task))
-            except GraphError as exc:
-                _report_row_failure(task, exc)
-        return rows
+        return [_run_row(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_row, task) for task in tasks]
-        for task, future in zip(tasks, futures):
-            try:
-                rows.append(future.result())
-            except GraphError as exc:
-                _report_row_failure(task, exc)
-    return rows
-
-
-def _report_row_failure(spec: InstanceSpec, exc: GraphError) -> None:
-    print(
-        f"row (n={spec.n}, m0={spec.initial_edges}, seed={spec.seed}) "
-        f"failed: {exc}",
-        file=sys.stderr,
-    )
+        return list(pool.map(_run_row, tasks))
 
 
 def format_duration(ms: float) -> str:

@@ -122,6 +122,16 @@ class TestCheck:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", "--in", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("g,witness", [
+        (Digraph(2, [(0, 1)]), "no directed path from 1 to 0"),
+        (Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),
+         "articulation point 2"),
+    ])
+    def test_k1_witness_kinds(self, tmp_path, capsys, g, witness):
+        path = write_graph(tmp_path / "g.txt", g)
+        assert main(["check", "--in", path, "--k", "1"]) == 1
+        assert capsys.readouterr().out == f"false: {witness}\n"
+
 
 class TestMinimize:
     @pytest.mark.parametrize("algo", ["minimal", "two-phase"])
@@ -144,6 +154,25 @@ class TestMinimize:
         code = main(["minimize", "--in", src, "--algo", "minimal", "--out", str(out)])
         assert code == 1
         assert "breaks strong biconnectivity" in capsys.readouterr().err
+
+    def test_malformed_file_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_text("3 9\n0 1\n", encoding="ascii")
+        out = tmp_path / "out.txt"
+        code = main(["minimize", "--in", str(src), "--algo", "minimal",
+                     "--out", str(out)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["minimal", "two-phase"])
+    def test_too_few_vertices_exits_1(self, tmp_path, capsys, algo):
+        src = write_graph(tmp_path / "c3.txt", directed_cycle(3))
+        out = tmp_path / "out.txt"
+        code = main(["minimize", "--in", src, "--algo", algo, "--out", str(out)])
+        assert code == 1
+        assert "more than 3 vertices" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shuffle_order_deterministic(self, tmp_path):
         src = write_graph(tmp_path / "k5.txt", complete_bidirected(5))
@@ -198,6 +227,16 @@ class TestBench:
 
         monkeypatch.setattr(cli, "run_experiment", no_run)
         assert main(["bench", *extra]) == 2
+
+    def test_row_limit_exits_2_before_any_row(self, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an oversized plan must not run rows")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        monkeypatch.setattr(cli.ExperimentPlan, "_specs", no_run)
+        assert main(["bench", "--sizes", "10",
+                     "--seeds-per-size", "1000000000"]) == 2
+        assert "limit of 10000" in capsys.readouterr().err
 
     def test_empty_sizes_exit_2(self):
         assert main(["bench", "--sizes", ","]) == 2

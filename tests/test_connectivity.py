@@ -8,6 +8,7 @@ from hypothesis import given
 from vsbgraph import (
     Digraph,
     TooFewVerticesError,
+    Witness,
     is_k_vsb,
     is_strongly_biconnected,
     is_strongly_connected,
@@ -20,6 +21,7 @@ from vsbgraph.connectivity import (
     _articulation_vertices,
     _search_miss,
     _stays_k_vsb,
+    _strong_biconnectivity_witness,
 )
 from vsbgraph.oracle import _arc_masks, _component_mask, _sb_bruteforce
 
@@ -159,6 +161,33 @@ class TestStronglyBiconnected:
             disconnects(g, x) for x in range(g.n)
         )
         assert is_strongly_biconnected(g).verdict == expected
+
+
+class TestSmallResiduals:
+    """The general search alone yields the small-graph conventions."""
+
+    def test_one_and_two_survivor_witnesses(self):
+        # every digraph with n <= 4 and every blocked set leaving 1 or 2
+        # vertices: one survivor passes; survivors u < v fail on the first
+        # missing arc, (u, v) before (v, u), and pass when both are present
+        checked = 0
+        for n in range(1, 5):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(arcs)):
+                g = Digraph(n, [a for i, a in enumerate(arcs) if mask >> i & 1])
+                for survivors in (1, 2):
+                    for kept in combinations(range(n), survivors):
+                        blocked = tuple(w for w in range(n) if w not in kept)
+                        expected = None
+                        if survivors == 2:
+                            u, v = kept
+                            for pair in ((u, v), (v, u)):
+                                if not g.has_edge(*pair):
+                                    expected = Witness(UNREACHABLE_PAIR, pair)
+                                    break
+                        assert _strong_biconnectivity_witness(g, blocked) == expected
+                        checked += 1
+        assert checked == 1 + 4 * 3 + 64 * 6 + 4096 * 10
 
 
 class TestKVsb:

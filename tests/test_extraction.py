@@ -144,6 +144,25 @@ class TestBackbone2Vsb:
         assert info.value.witness == is_k_vsb(g, 2).witness
 
 
+    def test_failing_first_probe_tests_input_once(self, monkeypatch):
+        # two bidirected K10 sharing vertex 9: the first probe fails, and the
+        # one full test of the input that follows ends the run with its
+        # witness, instead of probing longer prefixes up to the whole input
+        k10 = [(u, v) for u in range(10) for v in range(10) if u != v]
+        g = Digraph(19, k10 + [(u + 9, v + 9) for u, v in k10])
+        calls = []
+
+        def counting_is_k_vsb(h, k):
+            calls.append((k, h.m))
+            return is_k_vsb(h, k)
+
+        monkeypatch.setattr(extraction, "is_k_vsb", counting_is_k_vsb)
+        with pytest.raises(NotKVsbError) as info:
+            compute_2vsb_spanning(g, "shuffle", 1)
+        assert len(calls) == 2 and calls[1] == (2, 180)
+        assert info.value.witness == is_k_vsb(g, 2).witness
+
+
 class TestTwoPhase3Vsb:
     def test_k4_retains_all_arcs(self):
         g = complete_bidirected(4)
@@ -199,7 +218,8 @@ class TestFullTestCount:
         # extraction.is_k_vsb and the backbone through
         # extraction.compute_2vsb_spanning: the 3-vsb precondition, the
         # backbone's prefix probes (the first at the degree bound, then one
-        # more edge each) and the two rechecks, nothing else
+        # more edge each), its input test after a failing first probe and
+        # the two rechecks, nothing else
         g = named_graph(name)
         calls, backbones = [], []
 
@@ -219,9 +239,12 @@ class TestFullTestCount:
         length = next(_degree_gated(Digraph(g.n), candidates, 2))
         prefix = length + probes - 1
         assert len(backbones) == 1
+        probe_calls = [(2, m) for m in range(length, prefix + 1)]
+        if probes > 1:  # a failing first probe is followed by one input test
+            probe_calls.insert(1, (2, g.m))
         assert calls == (
             [(3, g.m)]
-            + [(2, m) for m in range(length, prefix + 1)]
+            + probe_calls
             + [(2, len(result.protected)), (3, result.subgraph.m)]
         )
         # every other test is a local one: each prefix edge in the backbone
@@ -260,12 +283,13 @@ def output_digest(result) -> str:
 # count for minimal.  For two-phase it is the 3-vsb precondition plus the
 # backbone's count (its prefix probes, one local test per prefix edge and
 # its recheck) plus the k=3 sweep's local tests and recheck; the backbone
-# makes no precondition test of its own.
+# makes no precondition test of its own, but tests its whole input once
+# when its first probe fails (K6 two-phase shuffle-5: 43 -> 44).
 OUTPUT_DIGESTS = [
     ("K6", "minimal-1", "input", None, 32, "e89573df4abc577399708e164718bf854af3e1f570a01a0df62d24424952a34b"),
     ("K6", "minimal-2", "shuffle", 5, 32, "48ac0952834cf3962d58e55e8059c9efcdf4c7b0a0eb48d00e801706343419a5"),
     ("K6", "minimal-3", "input", None, 32, "7e7f5aab066b27e9cd5fafbb51c38950d40cc7328bec4d0af10969d123f3c506"),
-    ("K6", "two-phase", "shuffle", 5, 43, "1e8f251bd82b97170c5acb23181df6d940cdd7b246d44ac7f275ff578bd6b8d9"),
+    ("K6", "two-phase", "shuffle", 5, 44, "1e8f251bd82b97170c5acb23181df6d940cdd7b246d44ac7f275ff578bd6b8d9"),
     ("10,80,1", "minimal-1", "shuffle", 5, 82, "ae12b8770ca46381559c6898edd928a24c16f9ce99db18f2840542f87e0e0aa1"),
     ("10,80,1", "minimal-2", "input", None, 82, "02a058dd8295802f7bbfc74c9a87506ef00df855c0d83b002cdb589680d9c817"),
     ("10,80,1", "minimal-3", "input", None, 82, "82a4b3e5ee8c99ce1c3e61ed7d51dbbb3b8781259740095ba1d0f6f37e15c242"),

@@ -40,9 +40,25 @@ class TestPlanValidation:
         assert plan._specs() == [InstanceSpec(8, 56, 1)]
 
     def test_defaults(self):
-        plan = ExperimentPlan(sizes=(10, 20))
+        # the generator's default density, as in bench without --mult
+        plan = ExperimentPlan(sizes=(8, 10))
         assert plan.seeds_per_size == 3
-        assert plan.multiplier == 8
+        assert plan.multiplier is None
+        assert plan._specs()[0] == InstanceSpec(8, 56, 1)
+        assert plan._specs()[-1] == InstanceSpec(10, 80, 3)
+
+    def test_row_limit(self, monkeypatch):
+        def no_specs(self):
+            raise AssertionError("an oversized plan must not build its specs")
+
+        monkeypatch.setattr(ExperimentPlan, "_specs", no_specs)
+        with pytest.raises(ValueError, match="limit of 10000"):
+            ExperimentPlan(sizes=(10,), seeds_per_size=10**9)
+        with pytest.raises(ValueError, match="10002 rows"):
+            ExperimentPlan(sizes=(10, 20), seeds_per_size=5001)
+        monkeypatch.undo()
+        plan = ExperimentPlan(sizes=(10, 20), seeds_per_size=5000)
+        assert len(plan._specs()) == 10_000
 
 
 class TestRowValidation:
