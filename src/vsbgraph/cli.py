@@ -130,14 +130,21 @@ def _sizes_arg(text: str) -> list[int]:
     return sizes
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed: {text!r}")
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text!r}")
-    return seed
+def _non_negative(what: str):
+    """argparse type for a non-negative integer; ``what`` names it in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what}: {text!r}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be non-negative: {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,11 +157,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random 3-vsb instance")
     gen.add_argument("--n", type=int, required=True, help="vertex count (>= 4)")
     gen.add_argument(
-        "--seed", type=_seed_arg, required=True, help="non-negative RNG seed"
+        "--seed",
+        type=_non_negative("seed"),
+        required=True,
+        help="non-negative RNG seed",
     )
     gen.add_argument(
         "--mult",
-        type=int,
+        type=_non_negative("multiplier"),
         default=None,
         help="initial edges = mult * n (default: min(8n, n(n-1)))",
     )
@@ -186,7 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="candidate edge order (default input)",
     )
     minimize.add_argument(
-        "--seed", type=_seed_arg, default=0, help="seed for --order shuffle"
+        "--seed",
+        type=_non_negative("seed"),
+        default=0,
+        help="seed for --order shuffle",
     )
     minimize.add_argument("--out", required=True, help="output edge-list file")
     minimize.set_defaults(handler=_cmd_minimize)

@@ -15,6 +15,14 @@ arcs between them are present.
 Every negative verdict carries a witness that can be replayed
 independently: an unreachable ordered pair, an articulation point, or a
 deleted-vertex set that breaks strong biconnectivity.
+
+:func:`is_k_vsb` decides its verdict in Menger form: for n >= k+2, g is
+k-vsb exactly when its directed vertex connectivity is at least k and
+that of its undirected view at least k+1.  Both bounds are checked by
+Even's test, on one primitive that counts vertex-disjoint paths by
+augmenting searches (:func:`_disjoint_paths`).  Deletion sets are
+enumerated only to find the witness of a false verdict, pruned by the
+same test, and at n = k+1, where the characterization fails.
 """
 from __future__ import annotations
 
@@ -91,9 +99,28 @@ def is_strongly_biconnected(g: Digraph) -> ConnectivityReport:
 def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     """k-vertex strong biconnectivity for k in {1, 2, 3}.
 
-    Tests every vertex subset of size at most k-1, in increasing size
-    and ascending lexicographic order, so a negative verdict reports the
-    first (hence minimal-size) failing subset as its witness.
+    A negative verdict reports the first failing vertex subset in order
+    of increasing size, then ascending lexicographic order (hence a
+    minimal-size one), as its witness.
+
+    For n >= k+2 the verdict is the Menger form: g is k-vsb exactly when
+    its directed vertex connectivity is at least k and the vertex
+    connectivity of its undirected view is at least k+1 (removing at
+    most k-1 vertices leaves at least three, and such a residual is
+    strongly biconnected exactly when it stays strongly connected and
+    no further single deletion disconnects its undirected view).  Both
+    bounds are decided by Even's test (:func:`_connectivity_at_least`),
+    O(k^2 n m) instead of the O(n^(k-1) m) of checking every deletion
+    set.
+    Only a false verdict searches for the witness: the smallest failing
+    size s is the first level the same test rejects, and the size-s sets
+    are searched in lexicographic order, skipping every prefix P whose
+    residual g-P is (s-|P|+1)-vsb, since no extension of P can then
+    fail; each remaining set is decided by the residual check itself.
+
+    At n = k+1 the characterization does not apply (the complete
+    bidirected graph on k+1 vertices is k-vsb with undirected
+    connectivity k), and every deletion set is checked in that order.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
@@ -101,11 +128,191 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
         raise TooFewVerticesError(
             f"{k}-vertex strong biconnectivity needs more than {k} vertices"
         )
-    for size in range(k):
-        for subset in combinations(range(g.n), size):
-            if _strong_biconnectivity_witness(g, subset) is not None:
-                return ConnectivityReport(False, Witness(VERTEX_CUT, subset))
-    return ConnectivityReport(True)
+    if g.n == k + 1:
+        for size in range(k):
+            for subset in combinations(range(g.n), size):
+                if _strong_biconnectivity_witness(g, subset) is not None:
+                    return ConnectivityReport(False, Witness(VERTEX_CUT, subset))
+        return ConnectivityReport(True)
+    if _vsb_at_least(g, k, ()):
+        return ConnectivityReport(True)
+    size = next(
+        s for s in range(k) if s == k - 1 or not _vsb_at_least(g, s + 1, ())
+    )
+    return ConnectivityReport(False, Witness(VERTEX_CUT, _first_cut(g, size, ())))
+
+
+def _vsb_at_least(g: Digraph, k: int, blocked: tuple[int, ...]) -> bool:
+    """g minus the blocked vertices is k-vsb; at least k+2 vertices survive."""
+    n, out, inn = g.n, g._out, g._in
+    return _connectivity_at_least(
+        n, (out,), (inn,), k, blocked
+    ) and _connectivity_at_least(n, (out, inn), None, k + 1, blocked)
+
+
+def _first_cut(
+    g: Digraph, size: int, prefix: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Lexicographically first set of ``size`` vertices that extends
+    prefix (by larger ids) and breaks strong biconnectivity, or None.
+
+    A proper prefix whose residual is (size-|prefix|+1)-vsb is skipped
+    with all its extensions.  The empty prefix is never skipped: it is
+    only searched at a size where some set is known to fail.
+    """
+    if len(prefix) == size:
+        failed = _strong_biconnectivity_witness(g, prefix) is not None
+        return prefix if failed else None
+    if prefix and _vsb_at_least(g, size - len(prefix) + 1, prefix):
+        return None
+    first = prefix[-1] + 1 if prefix else 0
+    for x in range(first, g.n - size + len(prefix) + 1):
+        found = _first_cut(g, size, prefix + (x,))
+        if found is not None:
+            return found
+    return None
+
+
+def _connectivity_at_least(
+    n: int,
+    views: tuple[list[set[int]], ...],
+    reverse_views: tuple[list[set[int]], ...] | None,
+    K: int,
+    blocked: tuple[int, ...],
+) -> bool:
+    """Vertex connectivity of the graph along ``views``, minus the blocked
+    vertices, is at least K; at least K+1 vertices survive.
+
+    ``reverse_views`` is the same graph with every arc reversed, or None
+    when the view is symmetric (undirected).  Even's test (SIAM J.
+    Comput. 1975), over the survivors v1 < v2 < ... in id order:
+
+    - every pair among v1..vK has K internally disjoint paths, in each
+      orientation;
+    - for each later vj, K paths from distinct earlier survivors into
+      vj, disjoint apart from vj, in each orientation.
+
+    A direct arc counts as a path.  Sufficiency: suppose deleting S,
+    |S| < K, leaves some x unable to reach some y; let A be what x still
+    reaches and B the rest outside S, so no path leads from A to B
+    avoiding S.  Some of
+    v1..vK lies outside S.  If those lie on both sides, a pair from A to
+    B has at most |S| paths.  If all lie in A, the first vj in B sees
+    its fan from the earlier survivors (all in A or S) cross S, so it
+    has at most |S| paths; if all lie in B, the same holds for the first
+    vj in A in the reverse orientation.  Necessity is Menger's theorem.
+    """
+    alive = [v for v in range(n) if v not in blocked]
+    orientations = (views,) if reverse_views is None else (views, reverse_views)
+    for view in orientations:
+        for a, b in combinations(alive[:K], 2):
+            starts = set().union(*(adj[a] for adj in view))
+            if _disjoint_paths(n, view, starts, b, K, blocked + (a,)) < K:
+                return False
+    for j in range(K, len(alive)):
+        for view in orientations:
+            if _disjoint_paths(n, view, alive[:j], alive[j], K, blocked) < K:
+                return False
+    return True
+
+
+_SOURCE = -2
+
+
+def _disjoint_paths(
+    n: int,
+    views: tuple[list[set[int]], ...],
+    starts: Iterable[int],
+    t: int,
+    need: int,
+    blocked: tuple[int, ...],
+) -> int:
+    """Paths into t along the arcs of ``views``, capped at need.
+
+    Each path starts at a different vertex of starts (a start equal to t
+    is a path by itself), the paths share no vertex but t, and none
+    uses a blocked vertex.  Direct arcs from a start into t are taken
+    first; then each augmenting breadth-first search over the implicit
+    vertex-split graph (node 2v enters v, node 2v+1 leaves it, with unit
+    capacity in between) adds one path.
+    """
+    # search-tree parent of each node, -1 while unseen; the nodes entering
+    # t and the blocked vertices count as seen in every search
+    unseen = [-1] * (2 * n)
+    for b in blocked:
+        unseen[2 * b] = 2 * b
+    unseen[2 * t] = 2 * t
+    # pred[v]: -1 off every path, _SOURCE if v starts one, else the vertex
+    # before v on its path; succ[v]: the vertex after v, or -1
+    pred = [-1] * n
+    succ = [-1] * n
+    count = 0
+    firsts = []
+    for x in starts:
+        if x == t:
+            count += 1
+        elif unseen[2 * x] != -1:
+            continue
+        elif any(t in adj[x] for adj in views):
+            pred[x] = _SOURCE
+            succ[x] = t
+            count += 1
+        else:
+            firsts.append(x)
+        if count >= need:
+            return count
+    while count < need:
+        back = unseen.copy()
+        queue = [2 * x for x in firsts if pred[x] != _SOURCE]
+        for node in queue:
+            back[node] = node
+        last = -1
+        for node in queue:
+            v = node >> 1
+            if node & 1:
+                # leaving v: along any arc, or back into v if v carries a
+                # path (no search reaches v's exit while v feeds t)
+                if any(t in adj[v] for adj in views):
+                    last = node
+                    break
+                for adj in views:
+                    for y in adj[v]:
+                        if back[2 * y] == -1:
+                            back[2 * y] = node
+                            queue.append(2 * y)
+                nxt = node - 1 if pred[v] != -1 else -1
+            else:
+                # entering v: through v if it is free, else back along the
+                # arc its path enters by
+                p = pred[v]
+                nxt = node + 1 if p == -1 else 2 * p + 1 if p >= 0 else -1
+            if nxt != -1 and back[nxt] == -1:
+                back[nxt] = node
+                queue.append(nxt)
+        if last == -1:
+            return count
+        # walk the search tree back from the arc into t; removals before
+        # additions, since a vertex can lose its old link and gain a new one
+        added = [(last >> 1, t)]
+        removed = []
+        node = last
+        while back[node] != node:
+            prev = back[node]
+            if prev >> 1 != node >> 1:
+                if prev & 1:
+                    added.append((prev >> 1, node >> 1))
+                else:
+                    removed.append((node >> 1, prev >> 1))
+            node = prev
+        for x, y in removed:
+            succ[x] = pred[y] = -1
+        for x, y in added:
+            succ[x] = y
+            if y != t:
+                pred[y] = x
+        pred[node >> 1] = _SOURCE
+        count += 1
+    return count
 
 
 def _stays_k_vsb(g: Digraph, k: int, u: int, v: int) -> bool:

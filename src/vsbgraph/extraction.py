@@ -19,8 +19,10 @@ so only the residuals that keep both ends of the edge are checked, each
 by one search for a path between those ends (plus a lowpoint pass when
 the reverse arc is absent).  Its verdict equals a full k-vsb evaluation;
 the precondition (for the backbone, its passing prefix probe) and the
-final recheck of every sweep are full :func:`is_k_vsb` calls, so each
-run cross-checks the local tests.
+final recheck of every sweep are full :func:`is_k_vsb` calls.  Their
+true verdicts come from counting disjoint paths (Even's test), which
+shares no code with the local test's deletion-set searches, so every
+run cross-checks its local tests with an independent algorithm.
 Runs never share mutable state; distinct extractions may proceed
 concurrently.
 """

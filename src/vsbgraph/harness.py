@@ -10,8 +10,9 @@ Times are reported in milliseconds and are the only non-reproducible
 columns.  Rows run sequentially by default ("one core" comparability);
 opt-in process parallelism distributes whole rows, never the inside of
 an algorithm, and output keeps plan order regardless of completion
-order.  Every row's instance spec is checked when the plan is built, so
-a row raises only on an internal error, which propagates.
+order.  Every row's instance spec is built and checked once, when the
+plan is built, so a row raises only on an internal error, which
+propagates.
 """
 from __future__ import annotations
 
@@ -38,8 +39,8 @@ CSV_COLUMNS = (
     "algo2_edges",
 )
 
-# Largest number of rows a plan accepts: the plan builds every row's
-# instance spec up front, about 136 bytes each.
+# Largest number of rows a plan accepts: the plan builds and keeps every
+# row's instance spec up front, about 136 bytes each.
 MAX_ROWS = 10_000
 
 _MD_HEADER = (
@@ -94,9 +95,11 @@ class ExperimentPlan:
         if self.multiplier is not None and self.multiplier < 1:
             raise ValueError("multiplier must be at least 1")
         try:
-            self._specs()
+            specs = self._specs()
         except GraphError as exc:
             raise ValueError(str(exc)) from None
+        # kept for run_experiment; not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_checked_specs", specs)
 
     def _specs(self) -> list[InstanceSpec]:
         """One instance spec per row, in plan order."""
@@ -150,7 +153,7 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow]:
     """Run every (size, seed) cell and return the rows in plan order."""
-    tasks = plan._specs()
+    tasks = plan._checked_specs
     workers = _pool_size(workers, len(tasks))
     if workers <= 1:
         return [_run_row(task) for task in tasks]

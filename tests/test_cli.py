@@ -37,6 +37,20 @@ class TestGen:
                      "--out", str(out)]) == 0
         assert parse_edge_list(out.read_text(encoding="ascii")).m >= 40
 
+    def test_negative_mult_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        code = main(["gen", "--n", "10", "--seed", "1", "--mult", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "multiplier must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_mult_grows_from_no_arcs(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "--n", "10", "--seed", "1", "--mult", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "n=10 m0=0 grown=48 m=48\n"
+
     def test_impossible_density_exits_1(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
         code = main(["gen", "--n", "8", "--seed", "1", "--mult", "8",
@@ -100,6 +114,21 @@ class TestCheck:
         path = write_graph(tmp_path / "g.txt", g)
         assert main(["check", "--in", path, "--k", "3"]) == 1
         assert "{2, 3}" in capsys.readouterr().out
+
+    def test_near_miss_witness_at_n50(self, tmp_path, capsys):
+        # vertex 7 of a generated 3-vsb instance keeps only its in-arcs from
+        # 45 and 48; the witness lines were recorded from the enumeration
+        # of every deletion set
+        g = generator.generate(generator.InstanceSpec(50, 800, 1)).graph
+        a, b = sorted(g.in_neighbors(7))[-2:]
+        near = Digraph(50, [(x, y) for x, y in g.edges() if y != 7 or x in (a, b)])
+        path = write_graph(tmp_path / "near.txt", near)
+        assert main(["check", "--in", path, "--k", "2"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["check", "--in", path, "--k", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "false: deleting {45, 48} breaks strong biconnectivity\n"
+        )
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -14,14 +14,17 @@ from vsbgraph import (
     is_strongly_connected,
     oracle_k_vsb,
 )
+from vsbgraph import connectivity
 from vsbgraph.connectivity import (
     ARTICULATION_POINT,
     UNREACHABLE_PAIR,
     VERTEX_CUT,
     _articulation_vertices,
+    _disjoint_paths,
     _search_miss,
     _stays_k_vsb,
     _strong_biconnectivity_witness,
+    _vsb_at_least,
 )
 from vsbgraph.oracle import _arc_masks, _component_mask, _sb_bruteforce
 
@@ -311,3 +314,147 @@ class TestLocalRemovability:
             g.remove_edge(0, 1)
             assert not _stays_k_vsb(g, k, 0, 1)
             assert not is_k_vsb(g, k).verdict
+
+
+def first_failing_set(g: Digraph, k: int, blocked=()) -> tuple[int, ...] | None:
+    """The enumeration form of k-vsb on g minus blocked: the first deletion
+    set, by size and then lexicographically, that breaks strong
+    biconnectivity, or None."""
+    others = [w for w in range(g.n) if w not in blocked]
+    for size in range(k):
+        for subset in combinations(others, size):
+            if _strong_biconnectivity_witness(g, tuple(blocked) + subset):
+                return subset
+    return None
+
+
+def fan_cut(g: Digraph, views, starts, t, blocked) -> int:
+    """Menger's bound by brute force: the fewest vertices other than t
+    whose removal leaves no path from a start to t avoiding the blocked
+    vertices, plus one for a start equal to t (a path nobody can cut)."""
+    starts = set(starts) - set(blocked)
+    if t in starts:
+        return 1 + fan_cut(g, views, starts - {t}, t, blocked)
+    free = [w for w in range(g.n) if w != t and w not in blocked]
+    for size in range(len(free) + 1):
+        for cut in combinations(free, size):
+            seen = set(blocked) | set(cut)
+            stack = [x for x in starts if x not in seen]
+            seen.update(stack)
+            while stack:
+                x = stack.pop()
+                for adj in views:
+                    for y in adj[x]:
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+            if t not in seen:
+                return size
+    raise AssertionError("removing every other vertex always cuts t off")
+
+
+class TestDisjointPaths:
+    """The unit-vertex-capacity path count equals Menger's cut bound."""
+
+    def test_matches_brute_force_cut(self):
+        rng = random.Random(11)
+        searched = 0
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            p = rng.uniform(0.2, 0.7)
+            g = Digraph(n, [a for a in arcs if rng.random() < p])
+            t = rng.randrange(n)
+            others = [w for w in range(n) if w != t]
+            blocked = tuple(rng.sample(others, rng.randint(0, 1)))
+            starts = rng.sample(range(n), rng.randint(1, n))
+            for views in ((g._out,), (g._in,), (g._out, g._in)):
+                cut = fan_cut(g, views, starts, t, blocked)
+                for need in (1, 2, 3, 4):
+                    got = _disjoint_paths(n, views, starts, t, need, blocked)
+                    assert got == min(need, cut), (g.edges(), starts, t, blocked)
+                direct = sum(
+                    1 for x in set(starts) - set(blocked)
+                    if x == t or any(t in adj[x] for adj in views)
+                )
+                searched += cut > direct
+        # the augmenting searches, not the direct arcs, decide many counts
+        assert searched > 100
+
+    def test_augmenting_path_reroutes_a_path(self):
+        # starts 0 and 1, t = 4: 1 can only go through 2, so when the
+        # first search sends 0 through 2 the second must reroute it via 3
+        g = Digraph(5, [(0, 2), (2, 4), (1, 2), (0, 3), (3, 4)])
+        assert _disjoint_paths(5, (g._out,), [0, 1], 4, 4, ()) == 2
+        assert _disjoint_paths(5, (g._out,), [0, 1], 4, 4, (3,)) == 1
+
+
+class TestMengerVerdict:
+    """The Menger-form verdict and its witness search agree with the
+    enumeration of every deletion set."""
+
+    def test_agrees_with_enumeration(self):
+        # k=1..3 at n=8..12 over a range of densities, with blocked sets of
+        # size 0-2 as the witness search uses them; every false verdict
+        # reports the enumeration's witness
+        rng = random.Random(8)
+        seen = set()
+        for n in range(8, 13):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for _ in range(30):
+                p = rng.uniform(0.3, 0.95)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                for k in (1, 2, 3):
+                    expected = first_failing_set(g, k)
+                    report = is_k_vsb(g, k)
+                    assert report.verdict == (expected is None), (g.edges(), k)
+                    if expected is not None:
+                        assert report.witness == Witness(VERTEX_CUT, expected)
+                    seen.add((k, -1 if expected is None else len(expected)))
+                    for size in (1, 2):
+                        blocked = tuple(sorted(rng.sample(range(n), size)))
+                        assert _vsb_at_least(g, k, blocked) == (
+                            first_failing_set(g, k, blocked) is None
+                        ), (g.edges(), k, blocked)
+        assert seen == {(k, s) for k in (1, 2, 3) for s in range(-1, k)}
+
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_late_size_two_witness(self, n):
+        # the last vertex keeps only its in-arcs from n-3 and n-2, so every
+        # pair before (n-3, n-2) passes and the pruned search must reach it
+        g = complete_bidirected(n)
+        for x in range(n - 3):
+            g.remove_edge(x, n - 1)
+        report = is_k_vsb(g, 3)
+        assert report.witness == Witness(VERTEX_CUT, (n - 3, n - 2))
+        assert first_failing_set(g, 3) == (n - 3, n - 2)
+        assert is_k_vsb(g, 2).verdict
+
+    def test_true_verdict_checks_no_residual(self, monkeypatch):
+        # a true verdict at n >= k+2 is decided by path counts alone; only a
+        # false one runs residual checks, for its witness
+        calls = []
+        original = connectivity._strong_biconnectivity_witness
+
+        def counting(g, blocked):
+            calls.append(blocked)
+            return original(g, blocked)
+
+        monkeypatch.setattr(connectivity, "_strong_biconnectivity_witness", counting)
+        for k in (1, 2, 3):
+            for n in (k + 2, 9):
+                assert is_k_vsb(complete_bidirected(n), k).verdict
+        assert is_k_vsb(directed_cycle(5), 1).verdict
+        assert calls == []
+        assert not is_k_vsb(directed_cycle(5), 2).verdict
+        assert calls == [(0,)]
+
+    def test_n_equals_k_plus_one_keeps_enumeration(self):
+        # the complete bidirected graph on k+1 vertices is k-vsb although
+        # its undirected connectivity is only k, so the Menger form alone
+        # would reject it
+        for k in (1, 2, 3):
+            g = complete_bidirected(k + 1)
+            assert is_k_vsb(g, k).verdict
+            assert not _vsb_at_least(g, k, ())
+        assert is_k_vsb(complete_bidirected(4), 3).verdict

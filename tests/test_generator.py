@@ -149,8 +149,10 @@ class TestGenerate:
 
 
 # SHA-256 of serialize_edge_list(graph) and the growth count, recorded
-# from the generator that ran the full 3-vsb test after every insertion;
-# the degree-gated loop must reproduce them byte for byte.
+# from the generator that ran the full 3-vsb test after every insertion
+# (the n=100 row: from the degree-gated loop with the enumeration form of
+# is_k_vsb); the degree-gated loop on the Menger-form verdict must
+# reproduce them byte for byte.
 INSTANCE_DIGESTS = [
     (12, 48, 100001, 28, "5ae9465dbb3bc24171e2c660d93939e2dafe8d150740d2438654748d05edb762"),
     (12, 48, 100002, 25, "878d4308c89c3050ab298079aa5379aa7342b8952afc0187f534a2bc39060e5f"),
@@ -164,6 +166,7 @@ INSTANCE_DIGESTS = [
     (30, 120, 2, 81, "6b6249018d8616364492afee8d6f585d22d81fa35060e3ff2f63b6204c6981f9"),
     (10, 0, 1, 48, "261779c6b6532c81bec9269ef9e9192c79780093a413dd75ff5d32d0ac527cef"),
     (12, 0, 5, 71, "d99cdc24723a61039187b913b02ee664e6da067de6934bf40f219e45557cf13c"),
+    (100, 800, 1, 800, "0929c7a3c6e42fe31413a81f403c866a3ce73ed7954d0ea069680948e40265d4"),
 ]
 
 

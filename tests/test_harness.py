@@ -61,6 +61,25 @@ class TestPlanValidation:
         assert len(plan._specs()) == 10_000
 
 
+    def test_specs_built_once_per_row(self, monkeypatch):
+        # construction validates every row's spec and run_experiment reuses
+        # them, so a plan of R rows builds exactly R specs in all
+        built = []
+
+        class CountingSpec(InstanceSpec):
+            def __post_init__(self):
+                built.append((self.n, self.seed))
+                super().__post_init__()
+
+        monkeypatch.setattr(harness, "InstanceSpec", CountingSpec)
+        monkeypatch.setattr(harness, "_run_row", lambda spec: spec)
+        plan = ExperimentPlan(sizes=(8, 10), seeds_per_size=3)
+        assert len(built) == 6
+        specs = run_experiment(plan)
+        assert built == [(n, seed) for n in (8, 10) for seed in (1, 2, 3)]
+        assert [(spec.n, spec.seed) for spec in specs] == built
+
+
 class TestRowValidation:
     def test_output_above_input_rejected(self):
         with pytest.raises(ValueError):
