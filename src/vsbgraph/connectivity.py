@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -111,12 +111,12 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     no further single deletion disconnects its undirected view).  Both
     bounds are decided by Even's test (:func:`_connectivity_at_least`),
     O(k^2 n m) instead of the O(n^(k-1) m) of checking every deletion
-    set.
-    Only a false verdict searches for the witness: the smallest failing
-    size s is the first level the same test rejects, and the size-s sets
-    are searched in lexicographic order, skipping every prefix P whose
-    residual g-P is (s-|P|+1)-vsb, since no extension of P can then
-    fail; each remaining set is decided by the residual check itself.
+    set.  Only a false verdict searches for the witness: the smallest
+    failing size s is the first level the same test rejects, and the
+    size-s sets are searched in lexicographic order, skipping every
+    prefix P whose residual g-P is (s-|P|+1)-vsb, since no extension of
+    P can then fail; each remaining set is decided by the residual
+    check itself.
 
     At n = k+1 the characterization does not apply (the complete
     bidirected graph on k+1 vertices is k-vsb with undirected
@@ -195,122 +195,122 @@ def _connectivity_at_least(
     A direct arc counts as a path.  Sufficiency: suppose deleting S,
     |S| < K, leaves some x unable to reach some y; let A be what x still
     reaches and B the rest outside S, so no path leads from A to B
-    avoiding S.  Some of
-    v1..vK lies outside S.  If those lie on both sides, a pair from A to
-    B has at most |S| paths.  If all lie in A, the first vj in B sees
-    its fan from the earlier survivors (all in A or S) cross S, so it
-    has at most |S| paths; if all lie in B, the same holds for the first
-    vj in A in the reverse orientation.  Necessity is Menger's theorem.
+    avoiding S.  Some of v1..vK lies outside S.  If those lie on both
+    sides, a pair from A to B has at most |S| paths.  If all lie in A,
+    the first vj in B sees its fan from the earlier survivors (all in A
+    or S) cross S, so it has at most |S| paths; if all lie in B, the
+    same holds for the first vj in A in the reverse orientation.
+    Necessity is Menger's theorem.
     """
     alive = [v for v in range(n) if v not in blocked]
-    orientations = (views,) if reverse_views is None else (views, reverse_views)
-    for view in orientations:
+    if reverse_views is None:
+        orientations = ((views, views),)
+    else:
+        orientations = ((views, reverse_views), (reverse_views, views))
+    for view, reverse in orientations:
         for a, b in combinations(alive[:K], 2):
             starts = set().union(*(adj[a] for adj in view))
-            if _disjoint_paths(n, view, starts, b, K, blocked + (a,)) < K:
+            if _disjoint_paths(reverse, starts, b, K, blocked + (a,)) < K:
                 return False
     for j in range(K, len(alive)):
-        for view in orientations:
-            if _disjoint_paths(n, view, alive[:j], alive[j], K, blocked) < K:
+        t = alive[j]
+        for _, reverse in orientations:
+            # the earlier survivors: every unblocked id below t
+            if _disjoint_paths(reverse, range(t), t, K, blocked) < K:
                 return False
     return True
 
 
-_SOURCE = -2
+_SOURCE = -1
 
 
 def _disjoint_paths(
-    n: int,
-    views: tuple[list[set[int]], ...],
-    starts: Iterable[int],
+    reverse: tuple[list[set[int]], ...],
+    starts: Container[int],
     t: int,
     need: int,
     blocked: tuple[int, ...],
 ) -> int:
-    """Paths into t along the arcs of ``views``, capped at need.
+    """Paths into t, capped at need; ``reverse`` gives each vertex's
+    predecessors along the arcs of the view.
 
     Each path starts at a different vertex of starts (a start equal to t
     is a path by itself), the paths share no vertex but t, and none
     uses a blocked vertex.  Direct arcs from a start into t are taken
-    first; then each augmenting breadth-first search over the implicit
-    vertex-split graph (node 2v enters v, node 2v+1 leaves it, with unit
-    capacity in between) adds one path.
+    first; then each augmenting breadth-first search, run backwards from
+    t over the implicit vertex-split graph (node 2v enters v, node 2v+1
+    leaves it, with unit capacity in between), adds one path.  Searching
+    from t touches only the vertices near it, however many starts there
+    are.
     """
-    # search-tree parent of each node, -1 while unseen; the nodes entering
-    # t and the blocked vertices count as seen in every search
-    unseen = [-1] * (2 * n)
-    for b in blocked:
-        unseen[2 * b] = 2 * b
-    unseen[2 * t] = 2 * t
-    # pred[v]: -1 off every path, _SOURCE if v starts one, else the vertex
-    # before v on its path; succ[v]: the vertex after v, or -1
-    pred = [-1] * n
-    succ = [-1] * n
-    count = 0
-    firsts = []
-    for x in starts:
-        if x == t:
-            count += 1
-        elif unseen[2 * x] != -1:
-            continue
-        elif any(t in adj[x] for adj in views):
-            pred[x] = _SOURCE
-            succ[x] = t
-            count += 1
-        else:
-            firsts.append(x)
-        if count >= need:
-            return count
+    # pred[v]: _SOURCE if v starts a path, else the vertex before v on
+    # it; succ[v]: the vertex after v; vertices off every path are absent
+    pred: dict[int, int] = {}
+    succ: dict[int, int] = {}
+    count = 1 if t in starts else 0
+    for adj in reverse:
+        for y in adj[t]:
+            if count >= need:
+                return count
+            if y in starts and y not in pred and y not in blocked:
+                pred[y] = _SOURCE
+                succ[y] = t
+                count += 1
+    sink = 2 * t
     while count < need:
-        back = unseen.copy()
-        queue = [2 * x for x in firsts if pred[x] != _SOURCE]
-        for node in queue:
-            back[node] = node
-        last = -1
+        # after[node]: the node after it on the way to t
+        after = {sink: sink}
+        queue = [sink]
+        found = -1
         for node in queue:
             v = node >> 1
             if node & 1:
-                # leaving v: along any arc, or back into v if v carries a
-                # path (no search reaches v's exit while v feeds t)
-                if any(t in adj[v] for adj in views):
-                    last = node
+                # v's exit is entered from v's entry if v is free, else
+                # from the entry of the vertex after v (undoing that arc)
+                p = 2 * succ[v] if v in pred else node - 1
+                if p in after:
+                    continue
+                after[p] = node
+                u = p >> 1
+                if u in starts and pred.get(u) != _SOURCE:
+                    # a start that begins no path yet: the source enters it
+                    found = p
                     break
-                for adj in views:
-                    for y in adj[v]:
-                        if back[2 * y] == -1:
-                            back[2 * y] = node
-                            queue.append(2 * y)
-                nxt = node - 1 if pred[v] != -1 else -1
-            else:
-                # entering v: through v if it is free, else back along the
-                # arc its path enters by
-                p = pred[v]
-                nxt = node + 1 if p == -1 else 2 * p + 1 if p >= 0 else -1
-            if nxt != -1 and back[nxt] == -1:
-                back[nxt] = node
-                queue.append(nxt)
-        if last == -1:
+                queue.append(p)
+                continue
+            # v's entry is entered from the exit of every unblocked vertex
+            # with an arc into v, and from v's own exit if v carries a path
+            if v in pred and node + 1 not in after:
+                after[node + 1] = node
+                queue.append(node + 1)
+            for adj in reverse:
+                for y in adj[v]:
+                    p = 2 * y + 1
+                    if p not in after and y not in blocked:
+                        after[p] = node
+                        queue.append(p)
+        if found == -1:
             return count
-        # walk the search tree back from the arc into t; removals before
-        # additions, since a vertex can lose its old link and gain a new one
-        added = [(last >> 1, t)]
+        # walk the path to t; removals before additions, since a vertex
+        # can lose its old link and gain a new one
+        added = []
         removed = []
-        node = last
-        while back[node] != node:
-            prev = back[node]
-            if prev >> 1 != node >> 1:
-                if prev & 1:
-                    added.append((prev >> 1, node >> 1))
+        node = found
+        while node != sink:
+            nxt = after[node]
+            if node >> 1 != nxt >> 1:
+                if node & 1:
+                    added.append((node >> 1, nxt >> 1))
                 else:
-                    removed.append((node >> 1, prev >> 1))
-            node = prev
+                    removed.append((nxt >> 1, node >> 1))
+            node = nxt
         for x, y in removed:
-            succ[x] = pred[y] = -1
+            del succ[x], pred[y]
         for x, y in added:
             succ[x] = y
             if y != t:
                 pred[y] = x
-        pred[node >> 1] = _SOURCE
+        pred[found >> 1] = _SOURCE
         count += 1
     return count
 

@@ -368,10 +368,14 @@ class TestDisjointPaths:
             others = [w for w in range(n) if w != t]
             blocked = tuple(rng.sample(others, rng.randint(0, 1)))
             starts = rng.sample(range(n), rng.randint(1, n))
-            for views in ((g._out,), (g._in,), (g._out, g._in)):
+            for views, reverse in (
+                ((g._out,), (g._in,)),
+                ((g._in,), (g._out,)),
+                ((g._out, g._in), (g._out, g._in)),
+            ):
                 cut = fan_cut(g, views, starts, t, blocked)
                 for need in (1, 2, 3, 4):
-                    got = _disjoint_paths(n, views, starts, t, need, blocked)
+                    got = _disjoint_paths(reverse, starts, t, need, blocked)
                     assert got == min(need, cut), (g.edges(), starts, t, blocked)
                 direct = sum(
                     1 for x in set(starts) - set(blocked)
@@ -385,8 +389,16 @@ class TestDisjointPaths:
         # starts 0 and 1, t = 4: 1 can only go through 2, so when the
         # first search sends 0 through 2 the second must reroute it via 3
         g = Digraph(5, [(0, 2), (2, 4), (1, 2), (0, 3), (3, 4)])
-        assert _disjoint_paths(5, (g._out,), [0, 1], 4, 4, ()) == 2
-        assert _disjoint_paths(5, (g._out,), [0, 1], 4, 4, (3,)) == 1
+        assert _disjoint_paths((g._in,), [0, 1], 4, 4, ()) == 2
+        assert _disjoint_paths((g._in,), [0, 1], 4, 4, (3,)) == 1
+
+    def test_augmenting_path_frees_a_vertex(self):
+        # starts 0 and 4, t = 3: the shortest path 0-1-2-3 goes first; 4
+        # reaches t only through 2 (via 5 and 6), so the second search must
+        # take 2 over and free 1 altogether, sending 0 along 7-8-9
+        g = Digraph(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 2),
+                         (0, 7), (7, 8), (8, 9), (9, 3)])
+        assert _disjoint_paths((g._in,), [0, 4], 3, 4, ()) == 2
 
 
 class TestMengerVerdict:
