@@ -94,7 +94,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     print(
         f"edges_in={stats.edges_in} edges_out={stats.edges_out} "
         f"tests_performed={stats.tests_performed} "
-        f"elapsed_ms={stats.elapsed * 1e3:.0f}"
+        f"elapsed_ms={stats.elapsed * 1e3:.3f}"
     )
     return 0
 

@@ -22,7 +22,9 @@ that of its undirected view at least k+1.  Both bounds are checked by
 Even's test, on one primitive that counts vertex-disjoint paths by
 augmenting searches (:func:`_disjoint_paths`).  Deletion sets are
 enumerated only to find the witness of a false verdict, pruned by the
-same test, and at n = k+1, where the characterization fails.
+same test, and at n = k+1, where the characterization fails.  The
+extractors' local removability test (:func:`_stays_k_vsb`) makes at
+most two counts with the same primitive.
 """
 from __future__ import annotations
 
@@ -319,54 +321,45 @@ def _stays_k_vsb(g: Digraph, k: int, u: int, v: int) -> bool:
     """``is_k_vsb(g, k).verdict``, given that g plus the arc (u, v) is k-vsb.
 
     The caller has just removed (u, v) from a k-vsb graph G; write e for
-    that arc and S for a deleted set of at most k-1 vertices.  G-S is
-    strongly biconnected for every such S, and only the residuals that
-    lost e can have changed:
+    that arc.  By the edge-removal lemma for k-connected graphs (Mader),
+    G-e is k-vsb exactly when
 
-    - If S contains u or v, e is gone from G-S anyway, so G-e-S = G-S.
-      Only the subsets of V minus {u, v} are enumerated.
-    - G-S is strongly connected, and every path through e can be routed
-      around it along a u-to-v path, so G-e-S is strongly connected
-      exactly when u still reaches v: one search from u, stopped at v,
-      replaces the forward and backward searches.
-    - If the arc (v, u) exists, G-e-S has the same undirected view as
-      G-S, which has no articulation point; otherwise one lowpoint pass
-      over G-e-S decides it.
-    - When only u and v survive, the search fails because e is gone,
-      which is the two-vertex convention (both arcs needed).
+    - at least k internally disjoint u-to-v paths remain, and
+    - unless the arc (v, u) exists, at least k+1 internally disjoint
+      u-v paths remain in the undirected view.
+
+    Each is one :func:`_disjoint_paths` count from u's neighbours into
+    v with u blocked.  Proof, with S a deleted set of at most k-1
+    vertices; k u-to-v paths need k vertices besides u and v, so when
+    they remain at least three vertices survive S:
+
+    - If S contains u or v, G-e-S = G-S, which is strongly biconnected.
+    - Otherwise, if G-e-S is not strongly connected, some x cannot reach
+      some y there although it can in G-S, so every such path uses e: x
+      reaches u, v reaches y, and u cannot reach v in G-e-S.  Then S,
+      with fewer than k vertices, meets all k u-to-v paths: impossible.
+    - If G-e-S is strongly connected but has an articulation point x,
+      then x is neither u nor v (deleting either leaves G-S-x, whose
+      undirected view is connected), so e's undirected edge joins the
+      two sides of G-S-x and is not doubled by (v, u).  Then S plus x,
+      at most k vertices, meets all k+1 undirected u-v paths: impossible.
+    - Conversely, u and v are not adjacent in the view counted, so by
+      Menger's theorem too few paths leave a set T avoiding u and v that
+      separates them.  With fewer than k vertices, G-e-T is not strongly
+      connected.  With at most k (at least one: the undirected view of
+      G-e is still connected), any x in T is an articulation point of
+      G-e-(T-x).
+
+    At n = k+1 fewer than k u-to-v paths remain, and indeed G-e is not
+    k-vsb: deleting the k-1 other vertices leaves u and v without e.
     """
-    n = g.n
-    out = g._out
-    undirected_kept = u in out[v]
-    others = [w for w in range(n) if w != u and w != v]
-    for size in range(k):
-        for subset in combinations(others, size):
-            if not _reaches(n, out, u, v, subset):
-                return False
-            if not undirected_kept and _articulation_vertices(
-                n, out, g._in, u, subset
-            ):
-                return False
-    return True
-
-
-def _reaches(
-    n: int, adj: list[set[int]], src: int, dst: int, blocked: tuple[int, ...]
-) -> bool:
-    """A path from src to dst along adj that avoids the blocked vertices."""
-    seen = bytearray(n)
-    for b in blocked:
-        seen[b] = 1
-    seen[src] = 1
-    stack = [src]
-    while stack:
-        for y in adj[stack.pop()]:
-            if not seen[y]:
-                if y == dst:
-                    return True
-                seen[y] = 1
-                stack.append(y)
-    return False
+    out, inn = g._out, g._in
+    if _disjoint_paths((inn,), out[u], v, k, (u,)) < k:
+        return False
+    return (
+        u in out[v]
+        or _disjoint_paths((out, inn), out[u] | inn[u], v, k + 1, (u,)) >= k + 1
+    )
 
 
 def _below_degree_bound(g: Digraph, v: int, k: int) -> bool:

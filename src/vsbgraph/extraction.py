@@ -15,14 +15,15 @@ removal keeps the graph k-vsb, and skip the edges marked *protected*.
 Each candidate test flips the edge's activity mask in a private working
 copy (no graph rebuild) and runs the local removability test
 ``connectivity._stays_k_vsb``: the graph was k-vsb before the removal,
-so only the residuals that keep both ends of the edge are checked, each
-by one search for a path between those ends (plus a lowpoint pass when
-the reverse arc is absent).  Its verdict equals a full k-vsb evaluation;
-the precondition (for the backbone, its passing prefix probe) and the
-final recheck of every sweep are full :func:`is_k_vsb` calls.  Their
-true verdicts come from counting disjoint paths (Even's test), which
-shares no code with the local test's deletion-set searches, so every
-run cross-checks its local tests with an independent algorithm.
+so it stays k-vsb exactly when k disjoint paths still lead from one end
+of the edge to the other (k+1 in the undirected view when the reverse
+arc is absent), at most two disjoint-path counts.  Its verdict equals a
+full k-vsb evaluation; the precondition (for the backbone, its passing
+prefix probe) and the final recheck of every sweep are full
+:func:`is_k_vsb` calls.  Both run on the same disjoint-path primitive,
+so the recheck is no independent check of the local test; the test
+suite compares the local test with an enumeration of deletion sets and
+with the brute-force oracle instead.
 Runs never share mutable state; distinct extractions may proceed
 concurrently.
 """

@@ -189,9 +189,9 @@ def emit_table(rows: list[ExperimentRow], fmt: str = "csv") -> str:
                     r.n,
                     r.m_input,
                     r.seed,
-                    f"{r.algo1_time_ms:.0f}",
+                    f"{r.algo1_time_ms:.3f}",
                     r.algo1_edges,
-                    f"{r.algo2_time_ms:.0f}",
+                    f"{r.algo2_time_ms:.3f}",
                     r.algo2_edges,
                 ]
             )

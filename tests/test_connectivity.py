@@ -7,14 +7,18 @@ from hypothesis import given
 
 from vsbgraph import (
     Digraph,
+    InstanceSpec,
     TooFewVerticesError,
     Witness,
+    generate,
     is_k_vsb,
     is_strongly_biconnected,
     is_strongly_connected,
+    minimal_k_vsb,
     oracle_k_vsb,
+    two_phase_3vsb,
 )
-from vsbgraph import connectivity
+from vsbgraph import connectivity, extraction
 from vsbgraph.connectivity import (
     ARTICULATION_POINT,
     UNREACHABLE_PAIR,
@@ -247,8 +251,46 @@ class TestKVsb:
                 assert replay_witness(g, report.witness)
 
 
+def reaches(n, adj, src, dst, blocked) -> bool:
+    """A path from src to dst along adj that avoids the blocked vertices."""
+    seen = bytearray(n)
+    for b in blocked:
+        seen[b] = 1
+    seen[src] = 1
+    stack = [src]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                if y == dst:
+                    return True
+                seen[y] = 1
+                stack.append(y)
+    return False
+
+
+def enumerated_stays_k_vsb(g: Digraph, k: int, u: int, v: int) -> bool:
+    """The enumeration form of the local test, kept as its reference:
+    given that g plus the arc (u, v) is k-vsb, check every deletion set
+    that keeps u and v with one search from u for v, plus a lowpoint pass
+    when the arc (v, u) is absent (the only residuals that lost the arc;
+    the reverse arc keeps their undirected view)."""
+    n, out = g.n, g._out
+    undirected_kept = u in out[v]
+    others = [w for w in range(n) if w != u and w != v]
+    for size in range(k):
+        for subset in combinations(others, size):
+            if not reaches(n, out, u, v, subset):
+                return False
+            if not undirected_kept and _articulation_vertices(
+                n, out, g._in, u, subset
+            ):
+                return False
+    return True
+
+
 class TestLocalRemovability:
-    """The sweep's per-candidate test agrees with the full predicate."""
+    """The sweep's per-candidate test agrees with the full predicate, the
+    oracle and the enumeration reference."""
 
     def test_agrees_with_full_test_and_oracle(self):
         # every arc of sampled k-vsb digraphs, n=4..9 and k=1..3; the oracle
@@ -314,6 +356,68 @@ class TestLocalRemovability:
             g.remove_edge(0, 1)
             assert not _stays_k_vsb(g, k, 0, 1)
             assert not is_k_vsb(g, k).verdict
+
+    def test_agrees_with_enumeration_on_sweeps(self, monkeypatch):
+        # every candidate of both extractors on generated instances, in
+        # input and shuffled order, against the enumeration reference
+        seen = set()
+
+        def checked(g, k, u, v):
+            local = _stays_k_vsb(g, k, u, v)
+            assert local == enumerated_stays_k_vsb(g, k, u, v), (g.edges(), k, u, v)
+            seen.add((k, local, g.has_edge(v, u)))
+            return local
+
+        monkeypatch.setattr(extraction, "_stays_k_vsb", checked)
+        for n in (10, 16, 20):
+            g = generate(InstanceSpec(n, seed=1)).graph
+            for order, seed in (("input", None), ("shuffle", n)):
+                for k in (1, 2, 3):
+                    minimal_k_vsb(g, k, order, seed)
+                two_phase_3vsb(g, order, seed)
+        assert seen == {
+            (k, local, rev)
+            for k in (1, 2, 3)
+            for local in (True, False)
+            for rev in (True, False)
+        }
+
+    def test_two_path_counts_per_test(self, monkeypatch):
+        # one test is at most two path counts into v with u blocked, the
+        # undirected one only without the reverse arc, and no residual
+        # check, at n = k+1 too: a fallback to enumeration fails here
+        calls = []
+        original = connectivity._disjoint_paths
+
+        def counting(reverse, starts, t, need, blocked):
+            calls.append((len(reverse), t, need, blocked))
+            return original(reverse, starts, t, need, blocked)
+
+        def forbidden(*args):
+            raise AssertionError("residual check in a local test")
+
+        monkeypatch.setattr(connectivity, "_disjoint_paths", counting)
+        monkeypatch.setattr(connectivity, "_strong_biconnectivity_witness", forbidden)
+        monkeypatch.setattr(connectivity, "_articulation_vertices", forbidden)
+        seen = set()
+        instance = generate(InstanceSpec(10, seed=1)).graph
+        for g, k in [(instance, k) for k in (1, 2, 3)] + [
+            (complete_bidirected(k + 1), k) for k in (1, 2, 3)
+        ]:
+            for u, v in g.edges():
+                g.remove_edge(u, v)
+                calls.clear()
+                local = _stays_k_vsb(g, k, u, v)
+                assert calls[0] == (1, v, k, (u,))
+                if len(calls) == 2:
+                    assert calls[1] == (2, v, k + 1, (u,))
+                    assert not g.has_edge(v, u)
+                else:
+                    assert len(calls) == 1
+                    assert not local or g.has_edge(v, u)
+                seen.add((k, len(calls)))
+                g.restore_edge(u, v)
+        assert seen == {(k, c) for k in (1, 2, 3) for c in (1, 2)}
 
 
 def first_failing_set(g: Digraph, k: int, blocked=()) -> tuple[int, ...] | None:

@@ -95,7 +95,7 @@ class TestEmitTable:
         text = emit_table([sample_row()], "csv")
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
-        assert lines[1] == "10,83,1,2000,32,1000,33"
+        assert lines[1] == "10,83,1,2000.000,32,1000.000,33"
 
     def test_csv_empty(self):
         assert emit_table([], "csv") == CSV_HEADER + "\n"
