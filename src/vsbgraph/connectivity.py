@@ -16,15 +16,15 @@ Every negative verdict carries a witness that can be replayed
 independently: an unreachable ordered pair, an articulation point, or a
 deleted-vertex set that breaks strong biconnectivity.
 
-:func:`is_k_vsb` decides its verdict in Menger form: for n >= k+2, g is
-k-vsb exactly when its directed vertex connectivity is at least k and
-that of its undirected view at least k+1.  Both bounds are checked by
-Even's test, on one primitive that counts vertex-disjoint paths by
-augmenting searches (:func:`_disjoint_paths`).  Deletion sets are
-enumerated only to find the witness of a false verdict, pruned by the
-same test, and at n = k+1, where the characterization fails.  The
-extractors' local removability test (:func:`_stays_k_vsb`) makes at
-most two counts with the same primitive.
+:func:`is_k_vsb` decides its verdict in Menger form: g is k-vsb exactly
+when its directed vertex connectivity is at least k and, unless g has
+only k+1 vertices, that of its undirected view at least k+1.  Both
+bounds are checked by Even's test, on one primitive that counts
+vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`).
+The witness of a false verdict is searched among deletion sets, each
+prefix and each leaf decided by the same test.  The extractors' local
+removability test (:func:`_stays_k_vsb`) makes at most two counts with
+the same primitive.
 """
 from __future__ import annotations
 
@@ -105,24 +105,15 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     of increasing size, then ascending lexicographic order (hence a
     minimal-size one), as its witness.
 
-    For n >= k+2 the verdict is the Menger form: g is k-vsb exactly when
-    its directed vertex connectivity is at least k and the vertex
-    connectivity of its undirected view is at least k+1 (removing at
-    most k-1 vertices leaves at least three, and such a residual is
-    strongly biconnected exactly when it stays strongly connected and
-    no further single deletion disconnects its undirected view).  Both
-    bounds are decided by Even's test (:func:`_connectivity_at_least`),
-    O(k^2 n m) instead of the O(n^(k-1) m) of checking every deletion
-    set.  Only a false verdict searches for the witness: the smallest
-    failing size s is the first level the same test rejects, and the
-    size-s sets are searched in lexicographic order, skipping every
-    prefix P whose residual g-P is (s-|P|+1)-vsb, since no extension of
-    P can then fail; each remaining set is decided by the residual
-    check itself.
-
-    At n = k+1 the characterization does not apply (the complete
-    bidirected graph on k+1 vertices is k-vsb with undirected
-    connectivity k), and every deletion set is checked in that order.
+    The verdict is the Menger form (:func:`_vsb_at_least`), decided by
+    Even's test (:func:`_connectivity_at_least`) in O(k^2 n m) instead
+    of the O(n^(k-1) m) of checking every deletion set.  Only a false
+    verdict searches for the witness: the smallest failing size s is
+    the first level the same test rejects, and the size-s sets are
+    searched in lexicographic order, skipping every prefix P whose
+    residual g-P is (s-|P|+1)-vsb, since no extension of P can then
+    fail; a set that is not skipped (its residual is not 1-vsb, that
+    is, not strongly biconnected) is the witness.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
@@ -130,12 +121,6 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
         raise TooFewVerticesError(
             f"{k}-vertex strong biconnectivity needs more than {k} vertices"
         )
-    if g.n == k + 1:
-        for size in range(k):
-            for subset in combinations(range(g.n), size):
-                if _strong_biconnectivity_witness(g, subset) is not None:
-                    return ConnectivityReport(False, Witness(VERTEX_CUT, subset))
-        return ConnectivityReport(True)
     if _vsb_at_least(g, k, ()):
         return ConnectivityReport(True)
     size = next(
@@ -145,11 +130,24 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
 
 
 def _vsb_at_least(g: Digraph, k: int, blocked: tuple[int, ...]) -> bool:
-    """g minus the blocked vertices is k-vsb; at least k+2 vertices survive."""
+    """g minus the blocked vertices is k-vsb; at least k+1 vertices survive.
+
+    The residual is k-vsb exactly when its directed vertex connectivity
+    is at least k and, if at least k+2 vertices survive, that of its
+    undirected view at least k+1.  From k+2 survivors on, removing at
+    most k-1 vertices leaves at least three, and such a residual is
+    strongly biconnected exactly when it stays strongly connected and
+    no further single deletion disconnects its undirected view.  With
+    exactly k+1 survivors both sides mean "complete bidirected": deleting
+    any k-1 vertices leaves two, which need both arcs, and k internally
+    disjoint paths between two of k+1 vertices must include the direct
+    arc.  (The undirected connectivity of that graph is only k.)
+    """
     n, out, inn = g.n, g._out, g._in
-    return _connectivity_at_least(
-        n, (out,), (inn,), k, blocked
-    ) and _connectivity_at_least(n, (out, inn), None, k + 1, blocked)
+    return _connectivity_at_least(n, (out,), (inn,), k, blocked) and (
+        n - len(blocked) == k + 1
+        or _connectivity_at_least(n, (out, inn), None, k + 1, blocked)
+    )
 
 
 def _first_cut(
@@ -158,15 +156,16 @@ def _first_cut(
     """Lexicographically first set of ``size`` vertices that extends
     prefix (by larger ids) and breaks strong biconnectivity, or None.
 
-    A proper prefix whose residual is (size-|prefix|+1)-vsb is skipped
-    with all its extensions.  The empty prefix is never skipped: it is
-    only searched at a size where some set is known to fail.
+    A prefix whose residual is (size-|prefix|+1)-vsb is skipped with all
+    its extensions; a full-size set that is not skipped breaks strong
+    biconnectivity (1-vsb).  At least size+2 vertices exist, so the test
+    always has enough survivors.  The empty prefix is never skipped: it
+    is only searched at a size where some set is known to fail.
     """
-    if len(prefix) == size:
-        failed = _strong_biconnectivity_witness(g, prefix) is not None
-        return prefix if failed else None
     if prefix and _vsb_at_least(g, size - len(prefix) + 1, prefix):
         return None
+    if len(prefix) == size:
+        return prefix
     first = prefix[-1] + 1 if prefix else 0
     for x in range(first, g.n - size + len(prefix) + 1):
         found = _first_cut(g, size, prefix + (x,))

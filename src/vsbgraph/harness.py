@@ -162,10 +162,11 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow
 
 
 def format_duration(ms: float) -> str:
-    """Human-readable duration, e.g. 73000 ms -> '1 m 13 s'."""
-    total = round(ms / 1000)
-    if total == 0:
-        return f"{ms:.0f} ms"
+    """Human-readable duration, e.g. 73000 ms -> '1 m 13 s' and
+    2.18 ms -> '2.180 ms'; whole seconds round half up."""
+    if round(ms, 3) < 1000:
+        return f"{ms:.3f} ms"
+    total = int((ms + 500) // 1000)
     hours, rest = divmod(total, 3600)
     minutes, seconds = divmod(rest, 60)
     parts = []

@@ -533,6 +533,39 @@ class TestMengerVerdict:
                             first_failing_set(g, k, blocked) is None
                         ), (g.edges(), k, blocked)
         assert seen == {(k, s) for k in (1, 2, 3) for s in range(-1, k)}
+        # residuals with exactly k+1 survivors, where the undirected bound
+        # does not apply
+        verdicts = set()
+        for n in range(5, 9):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for _ in range(30):
+                p = rng.uniform(0.7, 1.0)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                for k in (1, 2, 3):
+                    blocked = tuple(sorted(rng.sample(range(n), n - k - 1)))
+                    verdict = _vsb_at_least(g, k, blocked)
+                    assert verdict == (
+                        first_failing_set(g, k, blocked) is None
+                    ), (g.edges(), k, blocked)
+                    verdicts.add((k, verdict))
+        assert verdicts == {(k, v) for k in (1, 2, 3) for v in (True, False)}
+
+    def test_exhaustive_at_n_equals_k_plus_one(self):
+        # every digraph on k+1 vertices: verdict and witness are the
+        # enumeration's
+        checked = 0
+        for k in (1, 2, 3):
+            n = k + 1
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(arcs)):
+                g = Digraph(n, [a for i, a in enumerate(arcs) if mask >> i & 1])
+                expected = first_failing_set(g, k)
+                report = is_k_vsb(g, k)
+                assert report.verdict == (expected is None), (g.edges(), k)
+                if expected is not None:
+                    assert report.witness == Witness(VERTEX_CUT, expected)
+                checked += 1
+        assert checked == 4 + 64 + 4096
 
     @pytest.mark.parametrize("n", [8, 11])
     def test_late_size_two_witness(self, n):
@@ -547,8 +580,8 @@ class TestMengerVerdict:
         assert is_k_vsb(g, 2).verdict
 
     def test_true_verdict_checks_no_residual(self, monkeypatch):
-        # a true verdict at n >= k+2 is decided by path counts alone; only a
-        # false one runs residual checks, for its witness
+        # a verdict, true or false, is decided by path counts alone, and so
+        # is the witness of a false one
         calls = []
         original = connectivity._strong_biconnectivity_witness
 
@@ -563,14 +596,43 @@ class TestMengerVerdict:
         assert is_k_vsb(directed_cycle(5), 1).verdict
         assert calls == []
         assert not is_k_vsb(directed_cycle(5), 2).verdict
-        assert calls == [(0,)]
+        assert calls == []
 
-    def test_n_equals_k_plus_one_keeps_enumeration(self):
+    def test_no_residual_check_at_any_size(self, monkeypatch):
+        def forbidden(g, blocked):
+            raise AssertionError("residual check in is_k_vsb")
+
+        # complete bidirected graphs, and copies whose last vertex keeps
+        # only its in-arcs from the k-1 vertices before it, so the witness
+        # is those k-1 vertices
+        cases = []
+        for k in (1, 2, 3):
+            for n in (k + 1, k + 2, 9):
+                cases.append((complete_bidirected(n), k, None))
+                g = complete_bidirected(n)
+                for x in range(n - k):
+                    g.remove_edge(x, n - 1)
+                expected = first_failing_set(g, k)
+                assert expected == tuple(range(n - k, n - 1))
+                cases.append((g, k, expected))
+        monkeypatch.setattr(connectivity, "_strong_biconnectivity_witness", forbidden)
+        for g, k, expected in cases:
+            report = is_k_vsb(g, k)
+            if expected is None:
+                assert report.verdict
+            else:
+                assert report.witness == Witness(VERTEX_CUT, expected)
+
+    def test_n_equals_k_plus_one_is_complete_bidirected(self):
         # the complete bidirected graph on k+1 vertices is k-vsb although
-        # its undirected connectivity is only k, so the Menger form alone
-        # would reject it
+        # its undirected connectivity is only k, so the undirected bound
+        # is skipped there; without any one arc it is not k-vsb
         for k in (1, 2, 3):
             g = complete_bidirected(k + 1)
             assert is_k_vsb(g, k).verdict
-            assert not _vsb_at_least(g, k, ())
-        assert is_k_vsb(complete_bidirected(4), 3).verdict
+            assert _vsb_at_least(g, k, ())
+            for u, v in g.edges():
+                h = complete_bidirected(k + 1)
+                h.remove_edge(u, v)
+                report = is_k_vsb(h, k)
+                assert report.witness == Witness(VERTEX_CUT, first_failing_set(h, k))

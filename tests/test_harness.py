@@ -129,7 +129,19 @@ class TestFormatDuration:
         assert format_duration(5_368_000) == "1 h 29 m 28 s"
 
     def test_sub_second(self):
-        assert format_duration(420) == "420 ms"
+        assert format_duration(420) == "420.000 ms"
+        assert format_duration(0.4) == "0.400 ms"
+        assert format_duration(2.18) == "2.180 ms"
+        assert format_duration(600) == "600.000 ms"
+        assert format_duration(999.9) == "999.900 ms"
+
+    def test_seconds_round_half_up(self):
+        assert format_duration(999.9996) == "1 s"
+        assert format_duration(1_000) == "1 s"
+        assert format_duration(1_499) == "1 s"
+        assert format_duration(1_500) == "2 s"
+        assert format_duration(2_500) == "3 s"
+        assert format_duration(59_500) == "1 m 0 s"
 
 
 class TestRunExperiment:
