@@ -48,7 +48,6 @@ from .harness import (
     format_duration,
     run_experiment,
 )
-from .oracle import oracle_is_minimal, oracle_k_vsb, oracle_strongly_connected
 
 __version__ = "0.1.0"
 
@@ -82,9 +81,6 @@ __all__ = [
     "is_strongly_biconnected",
     "is_strongly_connected",
     "minimal_k_vsb",
-    "oracle_is_minimal",
-    "oracle_k_vsb",
-    "oracle_strongly_connected",
     "parse_edge_list",
     "random_digraph",
     "run_experiment",

@@ -94,6 +94,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     print(
         f"edges_in={stats.edges_in} edges_out={stats.edges_out} "
         f"tests_performed={stats.tests_performed} "
+        f"full_tests={stats.full_tests} flow_tests={stats.flow_tests} "
         f"elapsed_ms={stats.elapsed * 1e3:.3f}"
     )
     return 0

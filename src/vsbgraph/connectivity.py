@@ -115,18 +115,23 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     fail; a set that is not skipped (its residual is not 1-vsb, that
     is, not strongly biconnected) is the witness.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    if g.n <= k:
-        raise TooFewVerticesError(
-            f"{k}-vertex strong biconnectivity needs more than {k} vertices"
-        )
+    _check_level(g, k)
     if _vsb_at_least(g, k, ()):
         return ConnectivityReport(True)
     size = next(
         s for s in range(k) if s == k - 1 or not _vsb_at_least(g, s + 1, ())
     )
     return ConnectivityReport(False, Witness(VERTEX_CUT, _first_cut(g, size, ())))
+
+
+def _check_level(g: Digraph, k: int) -> None:
+    """Raise unless k is in {1, 2, 3} and g has more than k vertices."""
+    if k not in (1, 2, 3):
+        raise ValueError(f"k must be 1, 2 or 3, got {k}")
+    if g.n <= k:
+        raise TooFewVerticesError(
+            f"{k}-vertex strong biconnectivity needs more than {k} vertices"
+        )
 
 
 def _vsb_at_least(g: Digraph, k: int, blocked: tuple[int, ...]) -> bool:

@@ -8,22 +8,39 @@ removal keeps the graph k-vsb, and skip the edges marked *protected*.
   result is minimal: no remaining edge can be removed without breaking
   the property.
 * :func:`two_phase_3vsb` first extracts a 2-vsb spanning backbone whose
-  edges become protected, then sweeps at k=3.  Fewer expensive k=3
-  tests, but the result is not guaranteed minimal (protected edges are
-  never tried).
+  edges become protected, then sweeps at k=3.  The result is not
+  guaranteed minimal (protected edges are never tried).
 
-Each candidate test flips the edge's activity mask in a private working
-copy (no graph rebuild) and runs the local removability test
-``connectivity._stays_k_vsb``: the graph was k-vsb before the removal,
-so it stays k-vsb exactly when k disjoint paths still lead from one end
-of the edge to the other (k+1 in the undirected view when the reverse
-arc is absent), at most two disjoint-path counts.  Its verdict equals a
-full k-vsb evaluation; the precondition (for the backbone, its passing
-prefix probe) and the final recheck of every sweep are full
-:func:`is_k_vsb` calls.  Both run on the same disjoint-path primitive,
-so the recheck is no independent check of the local test; the test
-suite compares the local test with an enumeration of deletion sets and
-with the brute-force oracle instead.
+The sweep is optimistic.  It first walks the candidates with the degree
+rule alone: an edge goes unless its removal puts an endpoint below the
+k-vsb degree bound (``connectivity._below_degree_bound``), which shows a
+graph is not k-vsb.  One verdict-only full test of the result D follows.
+If D is k-vsb, it is exactly the greedy sweep's output, with the same
+removals in the same order.  By induction over the candidates, both
+walks hold the same graph W when they reach an edge e: a degree keep is
+a keep in both, and otherwise W-e contains D on the same vertices, so
+W-e is k-vsb (k-vsb is monotone under adding arcs) and the greedy sweep
+drops e too.  D is a subgraph of the input, so the input is k-vsb as
+well and no precondition test is needed.  On generated instances every
+edge the greedy sweep keeps is a degree keep, so D nearly always passes
+and a sweep costs one O(m) degree pass plus one full test.
+
+If D fails, the sweep falls back to the greedy sweep itself, from the
+first candidate (the first candidate where the two walks part is not
+known).  The precondition runs first: a full :func:`is_k_vsb` test, whose
+witness :class:`NotKVsbError` carries when the input is not k-vsb.  Each
+candidate is then decided by the degree bound, and only past it by the
+local removability test ``connectivity._stays_k_vsb``: the graph was k-vsb
+before the removal, so it stays k-vsb exactly when k disjoint paths
+still lead from one end of the edge to the other (k+1 in the undirected
+view when the reverse arc is absent), at most two disjoint-path counts.
+A full recheck of the output ends the fallback.  All of these run on the
+same disjoint-path primitive, so the test suite checks the sweep against
+an enumeration of deletion sets and the brute-force oracle instead.
+
+Two-phase is still slower than minimal: its backbone costs a degree pass
+over a prefix of the candidates and a full k=2 test, while the k=3 work
+the backbone saves is only part of one degree pass.
 Runs never share mutable state; distinct extractions may proceed
 concurrently.
 """
@@ -31,10 +48,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .connectivity import _degree_gated, _stays_k_vsb, is_k_vsb
+from .connectivity import (
+    _below_degree_bound,
+    _check_level,
+    _degree_gated,
+    _stays_k_vsb,
+    _vsb_at_least,
+    is_k_vsb,
+)
 from .digraph import Digraph
 from .errors import NotKVsbError
 
@@ -45,18 +70,24 @@ Edge = tuple[int, int]
 class ExtractionStats:
     """edges_in/out plus the run's cost drivers.
 
-    ``tests_performed`` counts every k-vsb test the run made: the full
-    precondition check, one local removability test per candidate edge,
-    and the full final verification.  The backbone makes no precondition
-    check; it counts one full test per prefix probe instead, plus one
-    full test of its input when the first probe fails;
-    ``elapsed`` is wall time in seconds on a monotonic clock.
+    ``full_tests`` counts the full k-vsb tests the run made: the check of
+    each sweep's degree-only result and, when that fails, the fallback's
+    precondition (for the backbone, its input test and prefix probes) and
+    its recheck.  ``flow_tests`` counts the fallback's local removability
+    tests; every other candidate was decided by the degree bound alone.
+    ``tests_performed`` is their sum.  Two-phase counts include the
+    backbone's.  ``elapsed`` is wall time in seconds on a monotonic clock.
     """
 
     edges_in: int
     edges_out: int
-    tests_performed: int
+    full_tests: int
+    flow_tests: int
     elapsed: float
+
+    @property
+    def tests_performed(self) -> int:
+        return self.full_tests + self.flow_tests
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,37 +117,78 @@ def _require_k_vsb(g: Digraph, k: int) -> None:
         raise NotKVsbError(k, report.witness)
 
 
+def _walk(
+    g: Digraph,
+    k: int,
+    candidates: list[Edge],
+    protected: frozenset[Edge],
+    local: bool,
+) -> tuple[Digraph, list[Edge], int]:
+    """One greedy pass over a copy of g, skipping the protected candidates
+    and those g lacks.  A candidate goes unless its removal puts an end
+    below the degree bound or, when ``local``, fails the local test.
+
+    Returns the copy, the removed edges in candidate order and the number
+    of local tests made.
+    """
+    work = g.copy()
+    removed: list[Edge] = []
+    flow_tests = 0
+    for u, v in candidates:
+        if (u, v) in protected or not g.has_edge(u, v):
+            continue
+        work.remove_edge(u, v)
+        keep = _below_degree_bound(work, u, k) or _below_degree_bound(work, v, k)
+        if local and not keep:
+            flow_tests += 1
+            keep = not _stays_k_vsb(work, k, u, v)
+        if keep:
+            work.restore_edge(u, v)
+        else:
+            removed.append((u, v))
+    return work, removed, flow_tests
+
+
 def _sweep(
     g: Digraph,
     k: int,
     candidates: list[Edge],
     protected: frozenset[Edge],
-    tests: int,
     start: float,
+    precondition: Callable[[], int] | None = None,
+    full_tests: int = 0,
+    flow_tests: int = 0,
 ) -> ExtractionResult:
-    """The greedy deletion sweep every extractor runs, then one recheck.
+    """The greedy deletion sweep every extractor runs (module docstring).
 
-    ``removed`` keeps candidate order, ``protected`` input-edge order.
-    ``tests`` and ``start`` are the caller's k-vsb test count and
-    ``time.perf_counter()`` reading so far; the stats include both.
+    The degree-only walk and its check come first; if the check fails,
+    the fallback runs ``precondition`` and then the local-test walk and
+    its recheck.  ``precondition`` raises :class:`NotKVsbError` unless g
+    is k-vsb and returns the number of full tests it made; by default it
+    is ``is_k_vsb(g, k)``.  The backbone's grows g, its prefix, to the
+    shortest 2-vsb one.  ``removed`` keeps candidate order, ``protected``
+    input-edge order.  ``start`` is the caller's ``time.perf_counter()``
+    reading and ``full_tests``/``flow_tests`` its counts so far; the stats
+    include them.
     """
-    work = g.copy()
-    removed: list[Edge] = []
-    for u, v in candidates:
-        if (u, v) in protected:
-            continue
-        work.remove_edge(u, v)
-        tests += 1
-        if _stays_k_vsb(work, k, u, v):
-            removed.append((u, v))
+    work, removed, _ = _walk(g, k, candidates, protected, False)
+    full_tests += 1
+    if not _vsb_at_least(work, k, ()):
+        if precondition is None:
+            _require_k_vsb(g, k)
+            full_tests += 1
         else:
-            work.restore_edge(u, v)
-    tests += 1
-    if not is_k_vsb(work, k).verdict:
-        raise RuntimeError(
-            f"internal error: extraction output failed the {k}-vsb recheck"
-        )
-    stats = ExtractionStats(g.m, work.m, tests, time.perf_counter() - start)
+            full_tests += precondition()
+        work, removed, local_tests = _walk(g, k, candidates, protected, True)
+        flow_tests += local_tests
+        full_tests += 1
+        if not _vsb_at_least(work, k, ()):
+            raise RuntimeError(
+                f"internal error: extraction output failed the {k}-vsb recheck"
+            )
+    stats = ExtractionStats(
+        g.m, work.m, full_tests, flow_tests, time.perf_counter() - start
+    )
     in_order = tuple(e for e in g.edges() if e in protected)
     return ExtractionResult(work, tuple(removed), in_order, stats)
 
@@ -131,9 +203,9 @@ def minimal_k_vsb(
     :class:`NotKVsbError` when the input is not k-vsb to begin with.
     """
     start = time.perf_counter()
-    _require_k_vsb(g, k)
+    _check_level(g, k)
     candidates = _ordered_candidates(g.edges(), order, seed)
-    return _sweep(g, k, candidates, frozenset(), 1, start)
+    return _sweep(g, k, candidates, frozenset(), start)
 
 
 def compute_2vsb_spanning(
@@ -146,30 +218,31 @@ def compute_2vsb_spanning(
     one is also minimal (no single edge of it can be dropped).  Strong
     biconnectivity is monotone under edge addition, so the greedy
     deletion sweep runs only inside the shortest 2-vsb prefix of the
-    candidate order.  A linear scan finds it, probing first the shortest
-    prefix that meets the 2-vsb degree bound (``connectivity._degree_gated``;
-    no shorter prefix can pass, and that one usually does), then one more
-    edge per probe.  There is no precondition test up front: only when
-    the first probe fails, or the degree bound is never met, is the whole
-    input tested once, and if it is not 2-vsb that test's witness is
-    raised as :class:`NotKVsbError`.  Only direct calls reach that path,
-    since :func:`two_phase_3vsb` has shown its input 3-vsb.
+    candidate order.  No shorter prefix than the shortest one that meets
+    the 2-vsb degree bound (``connectivity._degree_gated``) can pass, and
+    the sweep starts there: a degree-only result that passes its check
+    shows that prefix 2-vsb, so it is the shortest one.  Otherwise the
+    fallback's precondition tests the whole input once, raising its
+    witness as :class:`NotKVsbError` if it is not 2-vsb, and then probes
+    that prefix and one more edge at a time until one is 2-vsb.
     """
     start = time.perf_counter()
+    _check_level(g, 2)
     edges = _ordered_candidates(g.edges(), order, seed)
     prefix = Digraph(g.n)
-    tests = 0
-    for _ in _degree_gated(prefix, edges, 2):
-        tests += 1
-        if is_k_vsb(prefix, 2).verdict:
-            break
-        if tests == 1:  # the first probe failed: is any prefix 2-vsb?
-            tests += 1
-            _require_k_vsb(g, 2)
-    else:  # not even the whole input met the degree bound: this raises
+    gate = _degree_gated(prefix, edges, 2)
+    if next(gate, None) is None:  # not even the input meets the bound: raises
         _require_k_vsb(g, 2)
-    # the passing probe stands in for the sweep's precondition test
-    inner = _sweep(prefix, 2, prefix.edges(), frozenset(), tests, start)
+
+    def shortest_2vsb_prefix() -> int:
+        _require_k_vsb(g, 2)
+        tests = 2
+        while not _vsb_at_least(prefix, 2, ()):
+            next(gate)
+            tests += 1
+        return tests
+
+    inner = _sweep(prefix, 2, edges, frozenset(), start, shortest_2vsb_prefix)
     kept = set(inner.subgraph.edges())
     return replace(
         inner,
@@ -184,16 +257,23 @@ def two_phase_3vsb(
     """3-vsb spanning subgraph via a protected 2-vsb backbone.
 
     Phase one computes the backbone; phase two greedily deletes only the
-    edges outside it, testing k=3 after each removal.  The returned
-    ``protected`` edges are the backbone in input-edge order and are
-    always contained in the output.  ``tests_performed`` includes the
-    backbone run's own tests.
+    edges outside it at k=3.  The returned ``protected`` edges are the
+    backbone in input-edge order and are always contained in the output.
+    The stats include the backbone run's tests.  Raises
+    :class:`NotKVsbError` with the 3-vsb witness when the input is not
+    3-vsb, also when the backbone finds it is not even 2-vsb.
     """
     start = time.perf_counter()
-    _require_k_vsb(g, 3)
-    backbone = compute_2vsb_spanning(g, order, seed)
+    _check_level(g, 3)
+    try:
+        backbone = compute_2vsb_spanning(g, order, seed)
+    except NotKVsbError:  # not 2-vsb, so not 3-vsb either
+        _require_k_vsb(g, 3)
+        raise
     protected = frozenset(backbone.subgraph.edges())
     candidates = _ordered_candidates(g.edges(), order, seed)
+    counts = backbone.stats
     return _sweep(
-        g, 3, candidates, protected, 1 + backbone.stats.tests_performed, start
+        g, 3, candidates, protected, start, None,
+        counts.full_tests, counts.flow_tests,
     )

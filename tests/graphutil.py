@@ -28,3 +28,26 @@ def digraphs(draw, min_n: int = 1, max_n: int = 6) -> Digraph:
         return Digraph(n)
     edges = draw(st.lists(st.sampled_from(arcs), unique=True))
     return Digraph(n, edges)
+
+
+def block_ring(blocks: int) -> Digraph:
+    """A ring of bidirected K6 blocks, arcs in ascending order: vertices
+    3, 4, 5 of block b are joined by antiparallel arc pairs to vertices
+    0, 1, 2 of block b+1 (mod blocks).
+
+    It is 3-vsb.  From three blocks on, a greedy 3-vsb sweep in this order
+    keeps arcs that the degree bound does not decide, so the extractors'
+    degree-only result fails its check and their fallback runs."""
+    n = 6 * blocks
+    arcs = [
+        (6 * b + i, 6 * b + j)
+        for b in range(blocks)
+        for i in range(6)
+        for j in range(6)
+        if i != j
+    ]
+    for b in range(blocks):
+        for i in range(3):
+            x, y = 6 * b + 3 + i, (6 * b + 6 + i) % n
+            arcs += [(x, y), (y, x)]
+    return Digraph(n, sorted(arcs))

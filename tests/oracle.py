@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .digraph import Digraph
-from .errors import TooFewVerticesError, TooLargeError
+from vsbgraph.digraph import Digraph
+from vsbgraph.errors import TooFewVerticesError, TooLargeError
 
 _MAX_SC = 12
 _MAX_KVSB = 10

@@ -18,9 +18,6 @@ from vsbgraph import (
     is_strongly_biconnected,
     is_strongly_connected,
     minimal_k_vsb,
-    oracle_is_minimal,
-    oracle_k_vsb,
-    oracle_strongly_connected,
     parse_edge_list,
     random_digraph,
     serialize_edge_list,
@@ -29,6 +26,7 @@ from vsbgraph.cli import main
 from vsbgraph.harness import _timed_extractions
 
 from graphutil import ALL_ARCS_4
+from oracle import oracle_is_minimal, oracle_k_vsb, oracle_strongly_connected
 
 BENCH_SIZES = (10, 20, 30)
 SEEDS_PER_SIZE = 10

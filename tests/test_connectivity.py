@@ -10,12 +10,12 @@ from vsbgraph import (
     InstanceSpec,
     TooFewVerticesError,
     Witness,
+    compute_2vsb_spanning,
     generate,
     is_k_vsb,
     is_strongly_biconnected,
     is_strongly_connected,
     minimal_k_vsb,
-    oracle_k_vsb,
     two_phase_3vsb,
 )
 from vsbgraph import connectivity, extraction
@@ -30,14 +30,15 @@ from vsbgraph.connectivity import (
     _strong_biconnectivity_witness,
     _vsb_at_least,
 )
-from vsbgraph.oracle import _arc_masks, _component_mask, _sb_bruteforce
 
 from graphutil import (
+    block_ring,
     complete_bidirected,
     digraphs,
     directed_cycle,
     directed_path,
 )
+from oracle import _arc_masks, _component_mask, _sb_bruteforce, oracle_k_vsb
 
 
 def bowtie() -> Digraph:
@@ -288,6 +289,77 @@ def enumerated_stays_k_vsb(g: Digraph, k: int, u: int, v: int) -> bool:
     return True
 
 
+def reference_sweep(g, k, candidates, protected=frozenset(), seen=None):
+    """The greedy sweep in its defining form, on a k-vsb g: each
+    unprotected candidate goes when the enumeration reference says the
+    graph stays k-vsb without it.  Returns the removals in order; seen
+    collects (k, verdict, reverse arc present) of every test."""
+    work = g.copy()
+    removed = []
+    for u, v in candidates:
+        if (u, v) in protected:
+            continue
+        work.remove_edge(u, v)
+        stays = enumerated_stays_k_vsb(work, k, u, v)
+        if seen is not None:
+            seen.add((k, stays, work.has_edge(v, u)))
+        if stays:
+            removed.append((u, v))
+        else:
+            work.restore_edge(u, v)
+    return removed
+
+
+def assert_sweeps_match_reference(g, order, seed, seen) -> int:
+    """minimal_k_vsb at every k g passes, and the backbone and two-phase
+    when g is 3-vsb, remove what reference sweeps remove (the backbone
+    inside the shortest 2-vsb prefix, found by bisection with is_k_vsb).
+    Returns how many of these runs fell back to local tests."""
+    candidates = extraction._ordered_candidates(g.edges(), order, seed)
+    fallbacks = 0
+    for k in (1, 2, 3):
+        if g.n <= k or not is_k_vsb(g, k).verdict:
+            continue
+        result = minimal_k_vsb(g, k, order, seed)
+        assert list(result.removed) == reference_sweep(g, k, candidates, seen=seen)
+        fallbacks += result.stats.flow_tests > 0
+    if g.n <= 3 or not is_k_vsb(g, 3).verdict:
+        return fallbacks
+    lo, hi = 0, g.m  # the prefix of length hi is 2-vsb, that of length lo not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if is_k_vsb(Digraph(g.n, candidates[:mid]), 2).verdict:
+            hi = mid
+        else:
+            lo = mid
+    prefix = candidates[:hi]
+    dropped = reference_sweep(Digraph(g.n, prefix), 2, prefix, seen=seen)
+    kept = frozenset(prefix) - frozenset(dropped)
+    backbone = compute_2vsb_spanning(g, order, seed)
+    assert list(backbone.removed) == [e for e in candidates if e not in kept]
+    result = two_phase_3vsb(g, order, seed)
+    assert result.protected == tuple(e for e in g.edges() if e in kept)
+    assert list(result.removed) == reference_sweep(g, 3, candidates, kept, seen)
+    fallbacks += backbone.stats.flow_tests > 0
+    fallbacks += result.stats.flow_tests > backbone.stats.flow_tests
+    return fallbacks
+
+
+def check_local_tests(monkeypatch) -> list:
+    """Make every local test the extractors run assert agreement with the
+    enumeration reference; the returned list collects their verdicts."""
+    checked = []
+
+    def checked_stays_k_vsb(g, k, u, v):
+        local = _stays_k_vsb(g, k, u, v)
+        assert local == enumerated_stays_k_vsb(g, k, u, v), (g.edges(), k, u, v)
+        checked.append(local)
+        return local
+
+    monkeypatch.setattr(extraction, "_stays_k_vsb", checked_stays_k_vsb)
+    return checked
+
+
 class TestLocalRemovability:
     """The sweep's per-candidate test agrees with the full predicate, the
     oracle and the enumeration reference."""
@@ -358,29 +430,39 @@ class TestLocalRemovability:
             assert not is_k_vsb(g, k).verdict
 
     def test_agrees_with_enumeration_on_sweeps(self, monkeypatch):
-        # every candidate of both extractors on generated instances, in
-        # input and shuffled order, against the enumeration reference
+        # every extractor on generated instances, in input and shuffled
+        # order, removes exactly what the reference sweep removes; the
+        # reference tests every candidate by enumeration
+        checked = check_local_tests(monkeypatch)
         seen = set()
-
-        def checked(g, k, u, v):
-            local = _stays_k_vsb(g, k, u, v)
-            assert local == enumerated_stays_k_vsb(g, k, u, v), (g.edges(), k, u, v)
-            seen.add((k, local, g.has_edge(v, u)))
-            return local
-
-        monkeypatch.setattr(extraction, "_stays_k_vsb", checked)
         for n in (10, 16, 20):
             g = generate(InstanceSpec(n, seed=1)).graph
             for order, seed in (("input", None), ("shuffle", n)):
-                for k in (1, 2, 3):
-                    minimal_k_vsb(g, k, order, seed)
-                two_phase_3vsb(g, order, seed)
+                assert_sweeps_match_reference(g, order, seed, seen)
         assert seen == {
             (k, local, rev)
             for k in (1, 2, 3)
             for local in (True, False)
             for rev in (True, False)
         }
+        assert checked  # some fallback ran, and its local tests agreed
+
+    def test_fallback_sweeps_match_reference(self, monkeypatch):
+        # small dense random digraphs, whose degree-only results often fail,
+        # and the block ring, where they fail at k=3 in input order: the
+        # fallback's removals and local tests agree with the reference
+        checked = check_local_tests(monkeypatch)
+        rng = random.Random(11)
+        fallbacks = 0
+        for n in range(5, 9):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for _ in range(15):
+                p = rng.uniform(0.6, 0.95)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                fallbacks += assert_sweeps_match_reference(g, "shuffle", n, set())
+        assert fallbacks >= 20
+        assert assert_sweeps_match_reference(block_ring(3), "input", None, set()) >= 3
+        assert checked
 
     def test_two_path_counts_per_test(self, monkeypatch):
         # one test is at most two path counts into v with u blocked, the

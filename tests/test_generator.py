@@ -14,13 +14,13 @@ from vsbgraph import (
     generator,
     grow_until_3vsb,
     is_k_vsb,
-    oracle_k_vsb,
     random_digraph,
     serialize_edge_list,
 )
 from vsbgraph.connectivity import _below_degree_bound, _degree_gated
 
 from graphutil import complete_bidirected
+from oracle import oracle_k_vsb
 
 
 class TestInstanceSpec:

@@ -4,12 +4,10 @@ import pytest
 from vsbgraph import (
     Digraph,
     TooLargeError,
-    oracle_is_minimal,
-    oracle_k_vsb,
-    oracle_strongly_connected,
 )
 
 from graphutil import complete_bidirected, directed_cycle
+from oracle import oracle_is_minimal, oracle_k_vsb, oracle_strongly_connected
 
 
 class TestOracleStronglyConnected:

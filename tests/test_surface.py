@@ -31,9 +31,6 @@ PUBLIC_NAMES = [
     "is_strongly_biconnected",
     "is_strongly_connected",
     "minimal_k_vsb",
-    "oracle_is_minimal",
-    "oracle_k_vsb",
-    "oracle_strongly_connected",
     "parse_edge_list",
     "random_digraph",
     "run_experiment",
