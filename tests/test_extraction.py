@@ -378,41 +378,43 @@ def output_digest(result) -> str:
 
 # SHA-256 of (subgraph, removed, protected), recorded from the sweep that
 # ran a full is_k_vsb per candidate; the optimistic sweep and its fallback
-# must reproduce every output byte for byte.  The counts are the run's
-# full_tests and flow_tests.  A sweep whose degree-only result passes makes
-# one full test and no local test; a minimal fallback makes three (the
-# check, the precondition and the recheck) plus one local test per
-# candidate the degree bound does not decide.  Two-phase counts include
+# must reproduce every output byte for byte.  The first count is the
+# tests_performed of that per-candidate sweep, which the optimistic sweep
+# must undercut; it and the digest name the case.  The last two counts
+# are the run's full_tests and flow_tests.  A sweep whose degree-only
+# result passes makes one full test and no local test; a minimal fallback
+# makes three (the check, the precondition and the recheck) plus one local
+# test per candidate the degree bound does not decide.  Two-phase counts include
 # the backbone's, whose fallback tests its input and probes prefixes
 # instead of a precondition (10,80,1 input: 4 full tests, K6 shuffle-5: 6).
 OUTPUT_DIGESTS = [
-    ("K6", "minimal-1", "input", None, 1, 0, "e89573df4abc577399708e164718bf854af3e1f570a01a0df62d24424952a34b"),
-    ("K6", "minimal-2", "shuffle", 5, 1, 0, "48ac0952834cf3962d58e55e8059c9efcdf4c7b0a0eb48d00e801706343419a5"),
-    ("K6", "minimal-3", "input", None, 1, 0, "7e7f5aab066b27e9cd5fafbb51c38950d40cc7328bec4d0af10969d123f3c506"),
-    ("K6", "two-phase", "shuffle", 5, 7, 7, "1e8f251bd82b97170c5acb23181df6d940cdd7b246d44ac7f275ff578bd6b8d9"),
-    ("10,80,1", "minimal-1", "shuffle", 5, 3, 70, "ae12b8770ca46381559c6898edd928a24c16f9ce99db18f2840542f87e0e0aa1"),
-    ("10,80,1", "minimal-2", "input", None, 1, 0, "02a058dd8295802f7bbfc74c9a87506ef00df855c0d83b002cdb589680d9c817"),
-    ("10,80,1", "minimal-3", "input", None, 1, 0, "82a4b3e5ee8c99ce1c3e61ed7d51dbbb3b8781259740095ba1d0f6f37e15c242"),
-    ("10,80,1", "minimal-3", "shuffle", 5, 1, 0, "d24cda7e04943b7c9c43f56f553236afaf567ca20ce5a495d84022ff2bfad2e5"),
-    ("10,80,1", "two-phase", "input", None, 5, 21, "273073add43590a1b91779e0c0b4575dde709c2fae9f16efbd57a2b58e966c42"),
-    ("12,96,2", "minimal-2", "shuffle", 5, 1, 0, "33869bc65a4c75753c4943485ab7d9cf532924c6845ca7e3a4752c33a60ead7f"),
-    ("12,96,2", "minimal-3", "input", None, 3, 59, "1e8b3473c05b269c66327d7f1b36a472649e3fefbe636c3eda53308736700e06"),
-    ("12,96,2", "two-phase", "shuffle", 5, 2, 0, "0d1c4eaea1f0b56a59d43000673aaa989c84796398ff89866aa0a6c6af900cc4"),
-    ("12,48,3", "minimal-2", "input", None, 3, 31, "bc850e2f4fa7ab32c1decac08b4a4e7558af9c2c565c3772f5fd64deeb8743fc"),
-    ("12,48,3", "minimal-3", "shuffle", 5, 1, 0, "d42d39e6f47fd0b96b80541155f7256b055206ce6e9541de6b7591c5cc096a6d"),
-    ("12,48,3", "two-phase", "input", None, 2, 0, "b8c13f469976e6b450e556dec50044db9f4a88ae1af49b9e0384c8220c337ec1"),
-    ("14,112,4", "minimal-2", "shuffle", 5, 3, 83, "dbe680d682db81ec6e5fb02c1c5d8916678c29e66bb36f16eb15733594ce0bc1"),
-    ("14,112,4", "minimal-3", "input", None, 1, 0, "1aff59322aa9e4f3e5fdbaf6a97b38c9edc6f96989b87ddc2e0cdd8f5852121f"),
-    ("14,112,4", "two-phase", "shuffle", 5, 2, 0, "f45ffe1573057d6336ae99ee84bd9aaaa3ab091b2f653e0f519e194b138d3761"),
+    ("K6", "minimal-1", "input", None, 32, "e89573df4abc577399708e164718bf854af3e1f570a01a0df62d24424952a34b", 1, 0),
+    ("K6", "minimal-2", "shuffle", 5, 32, "48ac0952834cf3962d58e55e8059c9efcdf4c7b0a0eb48d00e801706343419a5", 1, 0),
+    ("K6", "minimal-3", "input", None, 32, "7e7f5aab066b27e9cd5fafbb51c38950d40cc7328bec4d0af10969d123f3c506", 1, 0),
+    ("K6", "two-phase", "shuffle", 5, 44, "1e8f251bd82b97170c5acb23181df6d940cdd7b246d44ac7f275ff578bd6b8d9", 7, 7),
+    ("10,80,1", "minimal-1", "shuffle", 5, 82, "ae12b8770ca46381559c6898edd928a24c16f9ce99db18f2840542f87e0e0aa1", 3, 70),
+    ("10,80,1", "minimal-2", "input", None, 82, "02a058dd8295802f7bbfc74c9a87506ef00df855c0d83b002cdb589680d9c817", 1, 0),
+    ("10,80,1", "minimal-3", "input", None, 82, "82a4b3e5ee8c99ce1c3e61ed7d51dbbb3b8781259740095ba1d0f6f37e15c242", 1, 0),
+    ("10,80,1", "minimal-3", "shuffle", 5, 82, "d24cda7e04943b7c9c43f56f553236afaf567ca20ce5a495d84022ff2bfad2e5", 1, 0),
+    ("10,80,1", "two-phase", "input", None, 104, "273073add43590a1b91779e0c0b4575dde709c2fae9f16efbd57a2b58e966c42", 5, 21),
+    ("12,96,2", "minimal-2", "shuffle", 5, 98, "33869bc65a4c75753c4943485ab7d9cf532924c6845ca7e3a4752c33a60ead7f", 1, 0),
+    ("12,96,2", "minimal-3", "input", None, 98, "1e8b3473c05b269c66327d7f1b36a472649e3fefbe636c3eda53308736700e06", 3, 59),
+    ("12,96,2", "two-phase", "shuffle", 5, 122, "0d1c4eaea1f0b56a59d43000673aaa989c84796398ff89866aa0a6c6af900cc4", 2, 0),
+    ("12,48,3", "minimal-2", "input", None, 58, "bc850e2f4fa7ab32c1decac08b4a4e7558af9c2c565c3772f5fd64deeb8743fc", 3, 31),
+    ("12,48,3", "minimal-3", "shuffle", 5, 58, "d42d39e6f47fd0b96b80541155f7256b055206ce6e9541de6b7591c5cc096a6d", 1, 0),
+    ("12,48,3", "two-phase", "input", None, 75, "b8c13f469976e6b450e556dec50044db9f4a88ae1af49b9e0384c8220c337ec1", 2, 0),
+    ("14,112,4", "minimal-2", "shuffle", 5, 114, "dbe680d682db81ec6e5fb02c1c5d8916678c29e66bb36f16eb15733594ce0bc1", 3, 83),
+    ("14,112,4", "minimal-3", "input", None, 114, "1aff59322aa9e4f3e5fdbaf6a97b38c9edc6f96989b87ddc2e0cdd8f5852121f", 1, 0),
+    ("14,112,4", "two-phase", "shuffle", 5, 150, "f45ffe1573057d6336ae99ee84bd9aaaa3ab091b2f653e0f519e194b138d3761", 2, 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,algo,order,seed,full,flow,digest",
+    "name,algo,order,seed,per_candidate,digest,full,flow",
     OUTPUT_DIGESTS,
-    ids=["-".join(map(str, row[:4])) for row in OUTPUT_DIGESTS],
+    ids=["-".join(map(str, row[:6])) for row in OUTPUT_DIGESTS],
 )
-def test_output_digest(name, algo, order, seed, full, flow, digest):
+def test_output_digest(name, algo, order, seed, per_candidate, digest, full, flow):
     g = named_graph(name)
     if algo == "two-phase":
         result = two_phase_3vsb(g, order, seed)
@@ -420,4 +422,5 @@ def test_output_digest(name, algo, order, seed, full, flow, digest):
         result = minimal_k_vsb(g, int(algo[-1]), order, seed)
     assert (result.stats.full_tests, result.stats.flow_tests) == (full, flow)
     assert result.stats.tests_performed == full + flow
+    assert result.stats.tests_performed < per_candidate
     assert output_digest(result) == digest
