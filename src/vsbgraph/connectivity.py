@@ -22,15 +22,17 @@ only k+1 vertices, that of its undirected view at least k+1.  Both
 bounds are checked by Even's test, on one primitive that counts
 vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`).
 The witness of a false verdict is searched among deletion sets, each
-prefix and each leaf decided by the same test.  The extractors' local
-removability test (:func:`_stays_k_vsb`) makes at most two counts with
-the same primitive.
+prefix and each leaf decided by the same test; there every count of
+Even's test is made once on g itself, with its paths, and recounted on
+a residual only when the deleted vertices meet enough of those paths.
+The extractors' local removability test (:func:`_stays_k_vsb`) makes at
+most two counts with the same primitive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -38,6 +40,21 @@ from .errors import TooFewVerticesError
 UNREACHABLE_PAIR = "unreachable-pair"
 ARTICULATION_POINT = "articulation-point"
 VERTEX_CUT = "vertex-cut"
+
+
+# (view, reverse) pairs: the arcs along which paths run, and the same
+# arcs reversed, which _disjoint_paths searches
+Orientations = tuple[
+    tuple[tuple[list[set[int]], ...], tuple[list[set[int]], ...]], ...
+]
+
+# one count of Even's test, named (orientation index, t, own): the paths
+# into t from the out-neighbours of a with own = (a,) blocked, for the
+# pair a < t, or from every survivor below t with own = (), for the fan
+Item = tuple[int, int, tuple[int, ...]]
+
+# each item's count on a whole graph, with its paths (see _count_tables)
+Table = dict[Item, tuple[int, dict[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -114,14 +131,27 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     residual g-P is (s-|P|+1)-vsb, since no extension of P can then
     fail; a set that is not skipped (its residual is not 1-vsb, that
     is, not strongly biconnected) is the witness.
+
+    A true verdict is one Even's test that stops at nothing.  A false
+    one first counts every item of Even's test that any of these
+    residual tests can ask, once on g and with no early exit (about
+    3n counts, :func:`_count_tables`); s is read off those counts,
+    and each prefix or leaf test recounts, with P deleted, only the
+    items whose paths P cuts below the level asked.  So a witness that
+    comes late in the order no longer costs one full test per first
+    vertex before it.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
         return ConnectivityReport(True)
+    tables = _count_tables(g, k)
     size = next(
-        s for s in range(k) if s == k - 1 or not _vsb_at_least(g, s + 1, ())
+        s
+        for s in range(k)
+        if s == k - 1 or not _vsb_at_least(g, s + 1, (), tables)
     )
-    return ConnectivityReport(False, Witness(VERTEX_CUT, _first_cut(g, size, ())))
+    cut = _first_cut(g, size, (), tables)
+    return ConnectivityReport(False, Witness(VERTEX_CUT, cut))
 
 
 def _check_level(g: Digraph, k: int) -> None:
@@ -134,7 +164,12 @@ def _check_level(g: Digraph, k: int) -> None:
         )
 
 
-def _vsb_at_least(g: Digraph, k: int, blocked: tuple[int, ...]) -> bool:
+def _vsb_at_least(
+    g: Digraph,
+    k: int,
+    blocked: tuple[int, ...],
+    tables: tuple[Table, Table] | None = None,
+) -> bool:
     """g minus the blocked vertices is k-vsb; at least k+1 vertices survive.
 
     The residual is k-vsb exactly when its directed vertex connectivity
@@ -147,16 +182,26 @@ def _vsb_at_least(g: Digraph, k: int, blocked: tuple[int, ...]) -> bool:
     any k-1 vertices leaves two, which need both arcs, and k internally
     disjoint paths between two of k+1 vertices must include the direct
     arc.  (The undirected connectivity of that graph is only k.)
+
+    ``tables`` are g's :func:`_count_tables` at some k' >= k + |blocked|,
+    or None to count every item afresh.
     """
-    n, out, inn = g.n, g._out, g._in
-    return _connectivity_at_least(n, (out,), (inn,), k, blocked) and (
-        n - len(blocked) == k + 1
-        or _connectivity_at_least(n, (out, inn), None, k + 1, blocked)
+    directed, undirected = tables or (None, None)
+    return _connectivity_at_least(
+        g.n, _orientations(g, True), k, blocked, directed
+    ) and (
+        g.n - len(blocked) == k + 1
+        or _connectivity_at_least(
+            g.n, _orientations(g, False), k + 1, blocked, undirected
+        )
     )
 
 
 def _first_cut(
-    g: Digraph, size: int, prefix: tuple[int, ...]
+    g: Digraph,
+    size: int,
+    prefix: tuple[int, ...],
+    tables: tuple[Table, Table],
 ) -> tuple[int, ...] | None:
     """Lexicographically first set of ``size`` vertices that extends
     prefix (by larger ids) and breaks strong biconnectivity, or None.
@@ -165,33 +210,94 @@ def _first_cut(
     its extensions; a full-size set that is not skipped breaks strong
     biconnectivity (1-vsb).  At least size+2 vertices exist, so the test
     always has enough survivors.  The empty prefix is never skipped: it
-    is only searched at a size where some set is known to fail.
+    is only searched at a size where some set is known to fail.  Every
+    test reads g's item counts from ``tables``.
     """
-    if prefix and _vsb_at_least(g, size - len(prefix) + 1, prefix):
+    if prefix and _vsb_at_least(g, size - len(prefix) + 1, prefix, tables):
         return None
     if len(prefix) == size:
         return prefix
     first = prefix[-1] + 1 if prefix else 0
     for x in range(first, g.n - size + len(prefix) + 1):
-        found = _first_cut(g, size, prefix + (x,))
+        found = _first_cut(g, size, prefix + (x,), tables)
         if found is not None:
             return found
     return None
 
 
+def _orientations(g: Digraph, directed: bool) -> Orientations:
+    """Both orientations of g's arcs, or the one of its undirected view."""
+    out, inn = g._out, g._in
+    if directed:
+        return (((out,), (inn,)), ((inn,), (out,)))
+    return (((out, inn), (out, inn)),)
+
+
+def _even_items(
+    orientations: Orientations, alive: Sequence[int], K: int
+) -> Iterator[
+    tuple[int, int, tuple[int, ...], tuple[list[set[int]], ...], Container[int]]
+]:
+    """The counts of Even's test at connectivity K over the survivors
+    ``alive`` (in id order), each of which must reach K: every pair among
+    the first K survivors and then a fan into each later one, in each
+    orientation.  Each is yielded as its :data:`Item` name followed by
+    the reverse view and the starts to count it on."""
+    for side, (view, reverse) in enumerate(orientations):
+        for a, b in combinations(alive[:K], 2):
+            yield side, b, (a,), reverse, set().union(*(adj[a] for adj in view))
+    reverses = [(side, reverse) for side, (_, reverse) in enumerate(orientations)]
+    for t in alive[K:]:
+        # the earlier survivors: every unblocked id below t
+        starts = range(t)
+        for side, reverse in reverses:
+            yield side, t, (), reverse, starts
+
+
+def _count_tables(g: Digraph, k: int) -> tuple[Table, Table]:
+    """g's directed and undirected tables, for the tests of
+    :func:`_vsb_at_least` at any level K <= k on g minus at most k-K
+    vertices.
+
+    Each table counts, on g itself and capped at cap (k directed, k+1
+    undirected), every item that Even's test asks on any such residual
+    at those tests' connectivities (K directed, K+1 undirected): the
+    pairs among vertices 0..cap-1 and the fans into every vertex from
+    the lowest connectivity on.  Each count comes with its paths, keyed
+    by their vertices other than the ends the item names.
+    """
+    tables = []
+    for directed, levels in ((True, range(1, k + 1)), (False, range(2, k + 2))):
+        orientations = _orientations(g, directed)
+        cap = levels[-1]
+        table: Table = {}
+        for K in levels:
+            for side, t, own, reverse, starts in _even_items(
+                orientations, range(g.n), K
+            ):
+                if (side, t, own) not in table:
+                    paths: dict[int, int] = {}
+                    # each path takes a start of its own, so no more can exist
+                    need = min(cap, len(starts))
+                    count = _disjoint_paths(reverse, starts, t, need, own, paths)
+                    table[side, t, own] = count, paths
+        tables.append(table)
+    return tables[0], tables[1]
+
+
 def _connectivity_at_least(
     n: int,
-    views: tuple[list[set[int]], ...],
-    reverse_views: tuple[list[set[int]], ...] | None,
+    orientations: Orientations,
     K: int,
     blocked: tuple[int, ...],
+    table: Table | None = None,
 ) -> bool:
-    """Vertex connectivity of the graph along ``views``, minus the blocked
-    vertices, is at least K; at least K+1 vertices survive.
+    """Vertex connectivity of the graph along ``orientations``, minus the
+    blocked vertices, is at least K; at least K+1 vertices survive.
 
-    ``reverse_views`` is the same graph with every arc reversed, or None
-    when the view is symmetric (undirected).  Even's test (SIAM J.
-    Comput. 1975), over the survivors v1 < v2 < ... in id order:
+    ``orientations`` holds both orientations of a directed graph, or the
+    one of an undirected view.  Even's test (SIAM J. Comput. 1975), over
+    the survivors v1 < v2 < ... in id order (:func:`_even_items`):
 
     - every pair among v1..vK has K internally disjoint paths, in each
       orientation;
@@ -207,23 +313,35 @@ def _connectivity_at_least(
     or S) cross S, so it has at most |S| paths; if all lie in B, the
     same holds for the first vj in A in the reverse orientation.
     Necessity is Menger's theorem.
+
+    ``table`` (one of :func:`_count_tables`, with a cap of at least
+    K + |blocked|) holds each item's count on the whole graph and the
+    vertices of its paths.  With P the blocked set, c an
+    item's table count and h the number of vertices of P on its paths,
+    the item is recounted with P blocked only when K <= c < K+h, so
+    never when c >= K+|P|.  Proof:
+
+    - The paths an item counts share no vertex but the ends the item
+      names (t, and a for a pair), and P contains neither, so each
+      vertex of P lies on at most one of them: at least c-h of them
+      avoid P.  A fan's surviving paths start at survivors below t, so
+      they are paths of the residual's fan; c-h >= K passes the item.
+    - Deleting vertices adds no path, so c < K (exact, being below the
+      cap) fails the item in the residual too.
+    - The first K survivors lie among vertices 0..K+|P|-1, so every pair
+      item of the residual is a table pair; a fan target has K survivors
+      before it, so it is at least K, and the table has its fan.
     """
     alive = [v for v in range(n) if v not in blocked]
-    if reverse_views is None:
-        orientations = ((views, views),)
-    else:
-        orientations = ((views, reverse_views), (reverse_views, views))
-    for view, reverse in orientations:
-        for a, b in combinations(alive[:K], 2):
-            starts = set().union(*(adj[a] for adj in view))
-            if _disjoint_paths(reverse, starts, b, K, blocked + (a,)) < K:
+    for side, t, own, reverse, starts in _even_items(orientations, alive, K):
+        if table is not None:
+            known, paths = table[side, t, own]
+            if known < K:
                 return False
-    for j in range(K, len(alive)):
-        t = alive[j]
-        for _, reverse in orientations:
-            # the earlier survivors: every unblocked id below t
-            if _disjoint_paths(reverse, range(t), t, K, blocked) < K:
-                return False
+            if known - sum(v in paths for v in blocked) >= K:
+                continue
+        if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
+            return False
     return True
 
 
@@ -236,6 +354,7 @@ def _disjoint_paths(
     t: int,
     need: int,
     blocked: tuple[int, ...],
+    pred: dict[int, int] | None = None,
 ) -> int:
     """Paths into t, capped at need; ``reverse`` gives each vertex's
     predecessors along the arcs of the view.
@@ -247,11 +366,13 @@ def _disjoint_paths(
     t over the implicit vertex-split graph (node 2v enters v, node 2v+1
     leaves it, with unit capacity in between), adds one path.  Searching
     from t touches only the vertices near it, however many starts there
-    are.
+    are.  An empty dict passed as ``pred`` is left holding the counted
+    paths; its keys are their vertices other than t.
     """
     # pred[v]: _SOURCE if v starts a path, else the vertex before v on
     # it; succ[v]: the vertex after v; vertices off every path are absent
-    pred: dict[int, int] = {}
+    if pred is None:
+        pred = {}
     succ: dict[int, int] = {}
     count = 1 if t in starts else 0
     for adj in reverse:

@@ -120,9 +120,11 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     spec = InstanceSpec(g.n, g.m, seed)
     work = g.copy()
     n = work.n
-    absent = [
-        i for i in range(n * (n - 1)) if not work.has_edge(*_arc_pair(i, n))
-    ]
+    # the inverse of _arc_pair marks the present arcs' indices
+    present = bytearray(n * (n - 1))
+    for u, v in work.edges():
+        present[u * (n - 1) + (v if v < u else v - 1)] = 1
+    absent = [i for i, here in enumerate(present) if not here]
     arcs = (_arc_pair(i, n) for i in _draw(absent, np.random.default_rng(seed)))
     for added in _degree_gated(work, arcs, 3):
         if is_k_vsb(work, 3).verdict:

@@ -20,6 +20,13 @@ def directed_path(n: int) -> Digraph:
     return Digraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def near_miss(g: Digraph, v: int) -> Digraph:
+    """A copy of g in which v keeps its two highest in-neighbours and
+    loses its other in-arcs; deleting those two cuts v off."""
+    a, b = sorted(g.in_neighbors(v))[-2:]
+    return Digraph(g.n, [(x, y) for x, y in g.edges() if y != v or x in (a, b)])
+
+
 @st.composite
 def digraphs(draw, min_n: int = 1, max_n: int = 6) -> Digraph:
     n = draw(st.integers(min_n, max_n))

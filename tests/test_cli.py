@@ -11,7 +11,7 @@ from vsbgraph import (
 )
 from vsbgraph.cli import main
 
-from graphutil import complete_bidirected, directed_cycle
+from graphutil import complete_bidirected, directed_cycle, near_miss
 from oracle import oracle_is_minimal
 
 
@@ -120,8 +120,7 @@ class TestCheck:
         # 45 and 48; the witness lines were recorded from the enumeration
         # of every deletion set
         g = generator.generate(generator.InstanceSpec(50, 800, 1)).graph
-        a, b = sorted(g.in_neighbors(7))[-2:]
-        near = Digraph(50, [(x, y) for x, y in g.edges() if y != 7 or x in (a, b)])
+        near = near_miss(g, 7)
         path = write_graph(tmp_path / "near.txt", near)
         assert main(["check", "--in", path, "--k", "2"]) == 0
         assert capsys.readouterr().out == "true\n"

@@ -24,6 +24,7 @@ from vsbgraph.connectivity import (
     UNREACHABLE_PAIR,
     VERTEX_CUT,
     _articulation_vertices,
+    _count_tables,
     _disjoint_paths,
     _search_miss,
     _stays_k_vsb,
@@ -37,6 +38,7 @@ from graphutil import (
     digraphs,
     directed_cycle,
     directed_path,
+    near_miss,
 )
 from oracle import _arc_masks, _component_mask, _sb_bruteforce, oracle_k_vsb
 
@@ -660,6 +662,63 @@ class TestMengerVerdict:
         assert report.witness == Witness(VERTEX_CUT, (n - 3, n - 2))
         assert first_failing_set(g, 3) == (n - 3, n - 2)
         assert is_k_vsb(g, 2).verdict
+
+    def test_shared_counts_agree_with_enumeration(self):
+        # a false verdict counts g's items once (_count_tables) and each
+        # later test recounts only items whose paths its blocked vertices
+        # cut; every such test, at each level K with up to k-K blocked
+        # vertices, agrees with the enumeration, and so does the witness.
+        # Half the graphs are near-misses of vertex 0, whose size-2
+        # witness comes late in the order
+        rng = random.Random(12)
+        seen = set()
+        late = 0
+        for n in range(8, 13):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for trial in range(16):
+                p = rng.uniform(0.3, 0.95)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                if trial % 2 and g.in_degree(0) >= 2:
+                    g = near_miss(g, 0)
+                for k in (1, 2, 3):
+                    expected = first_failing_set(g, k)
+                    report = is_k_vsb(g, k)
+                    assert report.verdict == (expected is None), (g.edges(), k)
+                    if expected is None:
+                        continue
+                    assert report.witness == Witness(VERTEX_CUT, expected)
+                    seen.add((k, len(expected)))
+                    late += len(expected) == 2 and expected[0] >= n // 2
+                    tables = _count_tables(g, k)
+                    for K in range(1, k + 1):
+                        for size in range(k - K + 1):
+                            for blocked in combinations(range(n), size):
+                                assert _vsb_at_least(g, K, blocked, tables) == (
+                                    first_failing_set(g, K, blocked) is None
+                                ), (g.edges(), k, K, blocked)
+        assert seen == {(k, s) for k in (1, 2, 3) for s in range(k)}
+        assert late >= 10
+
+    def test_near_miss_counts_once(self, monkeypatch):
+        # the n=50 near-miss of tests/test_cli.py: with one full Even's test
+        # per prefix and leaf, is_k_vsb(near, 3) made 7,143 path counts
+        calls = []
+        original = connectivity._disjoint_paths
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        near = near_miss(generate(InstanceSpec(50, 800, 1)).graph, 7)
+        monkeypatch.setattr(connectivity, "_disjoint_paths", counting)
+        assert is_k_vsb(near, 3).witness == Witness(VERTEX_CUT, (45, 48))
+        assert len(calls) <= 7143 // 5
+
+    def test_late_witness_at_n100(self):
+        # recorded with one full Even's test per prefix and leaf, which
+        # took about 0.4 s; vertex 7 keeps its in-arcs from 78 and 87
+        near = near_miss(generate(InstanceSpec(100, seed=1)).graph, 7)
+        assert is_k_vsb(near, 3).witness == Witness(VERTEX_CUT, (78, 87))
 
     def test_true_verdict_checks_no_residual(self, monkeypatch):
         # a verdict, true or false, is decided by path counts alone, and so
