@@ -22,17 +22,17 @@ only k+1 vertices, that of its undirected view at least k+1.  Both
 bounds are checked by Even's test, on one primitive that counts
 vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`).
 The witness of a false verdict is searched among deletion sets, each
-prefix and each leaf decided by the same test; there every count of
-Even's test is made once on g itself, with its paths, and recounted on
-a residual only when the deleted vertices meet enough of those paths.
-The extractors' local removability test (:func:`_stays_k_vsb`) makes at
-most two counts with the same primitive.
+prefix and each leaf decided by the same test; these tests share one
+table of Even's counts on g itself, with their paths, and recount an
+item on a residual only when the deleted vertices meet enough of its
+paths.  The extractors' local removability test (:func:`_stays_k_vsb`)
+makes at most two counts with the same primitive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Collection, Container, Iterable, Iterator, Sequence
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -53,8 +53,9 @@ Orientations = tuple[
 # pair a < t, or from every survivor below t with own = (), for the fan
 Item = tuple[int, int, tuple[int, ...]]
 
-# each item's count on a whole graph, with its paths (see _count_tables)
-Table = dict[Item, tuple[int, dict[int, int]]]
+# an item's count on a whole graph, whether it reached its cap, and the
+# vertices of its paths, or None where they were too many to keep
+Count = tuple[int, bool, dict[int, int] | None]
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,62 @@ class ConnectivityReport:
 
     def __bool__(self) -> bool:
         return self.verdict
+
+
+@dataclass
+class _Table:
+    """Counts of Even's items on a whole graph g, reused by the tests of
+    its residuals (:func:`_connectivity_at_least`).
+
+    Each count is kept with whether it reached its cap (so more paths
+    may exist) and with the vertices of its paths when they number at
+    most ``keep`` times the cap; longer paths, as in sparse graphs, are
+    dropped, so the table holds O(cap) vertices per item.
+    """
+
+    counts: dict[Item, Count] = field(default_factory=dict)
+    keep = 4
+
+    def count(
+        self,
+        item: Item,
+        reverse: tuple[list[set[int]], ...],
+        starts: Collection[int],
+        K: int,
+        blocked: tuple[int, ...],
+    ) -> tuple[int, int]:
+        """g's count c of item and the number h of its paths that blocked
+        vertices cut: at least c-h paths avoid them, and c is exact if
+        c-h < K.
+
+        The item is counted on g, capped at K + |blocked|, when it has no
+        count yet, or when its count reached its cap and fewer than K of
+        its paths avoid the blocked vertices.
+        """
+        found = self.counts.get(item)
+        if found is not None:
+            count, capped, paths = found
+            cut = _cut(paths, blocked)
+            if count - cut >= K or not capped:
+                return count, cut
+        _, t, own = item
+        paths = {}
+        # each path takes a start of its own, so no more can exist
+        need = min(K + len(blocked), len(starts))
+        count = _disjoint_paths(reverse, starts, t, need, own, paths)
+        if len(paths) > self.keep * need:
+            paths = None
+        self.counts[item] = count, count == need < len(starts), paths
+        return count, _cut(paths, blocked)
+
+
+def _cut(paths: dict[int, int] | None, blocked: tuple[int, ...]) -> int:
+    """How many of a count's paths the blocked vertices can cut: one per
+    blocked vertex on them, or one per blocked vertex where the paths
+    were not kept."""
+    if paths is None:
+        return len(blocked)
+    return sum(map(paths.__contains__, blocked))
 
 
 def is_strongly_connected(g: Digraph) -> ConnectivityReport:
@@ -126,29 +183,29 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     Even's test (:func:`_connectivity_at_least`) in O(k^2 n m) instead
     of the O(n^(k-1) m) of checking every deletion set.  Only a false
     verdict searches for the witness: the smallest failing size s is
-    the first level the same test rejects, and the size-s sets are
+    the highest level below k that the same test accepts (0 if none:
+    g is not strongly biconnected), and the size-s sets are
     searched in lexicographic order, skipping every prefix P whose
     residual g-P is (s-|P|+1)-vsb, since no extension of P can then
     fail; a set that is not skipped (its residual is not 1-vsb, that
     is, not strongly biconnected) is the witness.
 
-    A true verdict is one Even's test that stops at nothing.  A false
-    one first counts every item of Even's test that any of these
-    residual tests can ask, once on g and with no early exit (about
-    3n counts, :func:`_count_tables`); s is read off those counts,
-    and each prefix or leaf test recounts, with P deleted, only the
-    items whose paths P cuts below the level asked.  So a witness that
-    comes late in the order no longer costs one full test per first
-    vertex before it.
+    Every Even's test stops at its first failing item.  The tests that
+    find s and the prefix and leaf tests share one table of counts on g
+    (:class:`_Table`): each item is counted there as far as the first
+    test that asks it can use, so the tests that find s count as they
+    would without it, and again, further, only when a later test needs
+    more paths than the count shows.  Each prefix or leaf test recounts,
+    with P deleted, only the items whose paths P cuts below the level
+    asked, so a witness that comes late in the order no longer costs
+    one full test per first vertex before it.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
         return ConnectivityReport(True)
-    tables = _count_tables(g, k)
+    tables = (_Table(), _Table())
     size = next(
-        s
-        for s in range(k)
-        if s == k - 1 or not _vsb_at_least(g, s + 1, (), tables)
+        (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
     )
     cut = _first_cut(g, size, (), tables)
     return ConnectivityReport(False, Witness(VERTEX_CUT, cut))
@@ -168,7 +225,7 @@ def _vsb_at_least(
     g: Digraph,
     k: int,
     blocked: tuple[int, ...],
-    tables: tuple[Table, Table] | None = None,
+    tables: tuple[_Table, _Table] | None = None,
 ) -> bool:
     """g minus the blocked vertices is k-vsb; at least k+1 vertices survive.
 
@@ -183,8 +240,8 @@ def _vsb_at_least(
     disjoint paths between two of k+1 vertices must include the direct
     arc.  (The undirected connectivity of that graph is only k.)
 
-    ``tables`` are g's :func:`_count_tables` at some k' >= k + |blocked|,
-    or None to count every item afresh.
+    ``tables`` are g's directed and undirected :class:`_Table`, or None
+    to count every item afresh.
     """
     directed, undirected = tables or (None, None)
     return _connectivity_at_least(
@@ -201,7 +258,7 @@ def _first_cut(
     g: Digraph,
     size: int,
     prefix: tuple[int, ...],
-    tables: tuple[Table, Table],
+    tables: tuple[_Table, _Table],
 ) -> tuple[int, ...] | None:
     """Lexicographically first set of ``size`` vertices that extends
     prefix (by larger ids) and breaks strong biconnectivity, or None.
@@ -236,7 +293,7 @@ def _orientations(g: Digraph, directed: bool) -> Orientations:
 def _even_items(
     orientations: Orientations, alive: Sequence[int], K: int
 ) -> Iterator[
-    tuple[int, int, tuple[int, ...], tuple[list[set[int]], ...], Container[int]]
+    tuple[int, int, tuple[int, ...], tuple[list[set[int]], ...], Collection[int]]
 ]:
     """The counts of Even's test at connectivity K over the survivors
     ``alive`` (in id order), each of which must reach K: every pair among
@@ -254,43 +311,12 @@ def _even_items(
             yield side, t, (), reverse, starts
 
 
-def _count_tables(g: Digraph, k: int) -> tuple[Table, Table]:
-    """g's directed and undirected tables, for the tests of
-    :func:`_vsb_at_least` at any level K <= k on g minus at most k-K
-    vertices.
-
-    Each table counts, on g itself and capped at cap (k directed, k+1
-    undirected), every item that Even's test asks on any such residual
-    at those tests' connectivities (K directed, K+1 undirected): the
-    pairs among vertices 0..cap-1 and the fans into every vertex from
-    the lowest connectivity on.  Each count comes with its paths, keyed
-    by their vertices other than the ends the item names.
-    """
-    tables = []
-    for directed, levels in ((True, range(1, k + 1)), (False, range(2, k + 2))):
-        orientations = _orientations(g, directed)
-        cap = levels[-1]
-        table: Table = {}
-        for K in levels:
-            for side, t, own, reverse, starts in _even_items(
-                orientations, range(g.n), K
-            ):
-                if (side, t, own) not in table:
-                    paths: dict[int, int] = {}
-                    # each path takes a start of its own, so no more can exist
-                    need = min(cap, len(starts))
-                    count = _disjoint_paths(reverse, starts, t, need, own, paths)
-                    table[side, t, own] = count, paths
-        tables.append(table)
-    return tables[0], tables[1]
-
-
 def _connectivity_at_least(
     n: int,
     orientations: Orientations,
     K: int,
     blocked: tuple[int, ...],
-    table: Table | None = None,
+    table: _Table | None = None,
 ) -> bool:
     """Vertex connectivity of the graph along ``orientations``, minus the
     blocked vertices, is at least K; at least K+1 vertices survive.
@@ -314,31 +340,30 @@ def _connectivity_at_least(
     same holds for the first vj in A in the reverse orientation.
     Necessity is Menger's theorem.
 
-    ``table`` (one of :func:`_count_tables`, with a cap of at least
-    K + |blocked|) holds each item's count on the whole graph and the
-    vertices of its paths.  With P the blocked set, c an
-    item's table count and h the number of vertices of P on its paths,
-    the item is recounted with P blocked only when K <= c < K+h, so
-    never when c >= K+|P|.  Proof:
+    ``table`` (a :class:`_Table`) gives g's count c of each item and
+    the number h of the blocked set P's vertices on its paths (|P| where
+    the paths were not kept).  The item is recounted with P blocked only
+    when K <= c < K+h, so never when c >= K+|P|.  A count on g that is
+    missing, or that reached its cap with c-h < K, is made first, capped
+    at K+|P|; c-h < K then means c is below that cap and exact.  Proof:
 
     - The paths an item counts share no vertex but the ends the item
       names (t, and a for a pair), and P contains neither, so each
       vertex of P lies on at most one of them: at least c-h of them
-      avoid P.  A fan's surviving paths start at survivors below t, so
-      they are paths of the residual's fan; c-h >= K passes the item.
-    - Deleting vertices adds no path, so c < K (exact, being below the
-      cap) fails the item in the residual too.
-    - The first K survivors lie among vertices 0..K+|P|-1, so every pair
-      item of the residual is a table pair; a fan target has K survivors
-      before it, so it is at least K, and the table has its fan.
+      avoid P.  Those start at starts outside P, which are the item's
+      starts in the residual (a fan's survivors below t, a pair's
+      surviving out-neighbours of a), so they are paths of the
+      residual's item; c-h >= K passes it.
+    - Deleting vertices adds no path, so c < K (exact) fails the item
+      in the residual too.
     """
     alive = [v for v in range(n) if v not in blocked]
     for side, t, own, reverse, starts in _even_items(orientations, alive, K):
         if table is not None:
-            known, paths = table[side, t, own]
+            known, cut = table.count((side, t, own), reverse, starts, K, blocked)
             if known < K:
                 return False
-            if known - sum(v in paths for v in blocked) >= K:
+            if known - cut >= K:
                 continue
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False

@@ -1,5 +1,6 @@
 """Connectivity predicates: verdicts, witnesses, and the k-level hierarchy."""
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,7 @@ from vsbgraph.connectivity import (
     UNREACHABLE_PAIR,
     VERTEX_CUT,
     _articulation_vertices,
-    _count_tables,
+    _Table,
     _disjoint_paths,
     _search_miss,
     _stays_k_vsb,
@@ -516,6 +517,12 @@ def first_failing_set(g: Digraph, k: int, blocked=()) -> tuple[int, ...] | None:
     return None
 
 
+class _Pathless(_Table):
+    """A table that keeps no paths, as for items whose paths are long."""
+
+    keep = 0
+
+
 def fan_cut(g: Digraph, views, starts, t, blocked) -> int:
     """Menger's bound by brute force: the fewest vertices other than t
     whose removal leaves no path from a start to t avoiding the blocked
@@ -664,12 +671,13 @@ class TestMengerVerdict:
         assert is_k_vsb(g, 2).verdict
 
     def test_shared_counts_agree_with_enumeration(self):
-        # a false verdict counts g's items once (_count_tables) and each
+        # a false verdict counts each of g's items once (_Table) and each
         # later test recounts only items whose paths its blocked vertices
         # cut; every such test, at each level K with up to k-K blocked
-        # vertices, agrees with the enumeration, and so does the witness.
-        # Half the graphs are near-misses of vertex 0, whose size-2
-        # witness comes late in the order
+        # vertices, agrees with the enumeration, and so does the witness,
+        # also where the table kept no paths (as for long ones).  Half
+        # the graphs are near-misses of vertex 0, whose size-2 witness
+        # comes late in the order
         rng = random.Random(12)
         seen = set()
         late = 0
@@ -689,13 +697,15 @@ class TestMengerVerdict:
                     assert report.witness == Witness(VERTEX_CUT, expected)
                     seen.add((k, len(expected)))
                     late += len(expected) == 2 and expected[0] >= n // 2
-                    tables = _count_tables(g, k)
+                    both = [(table(), table()) for table in (_Table, _Pathless)]
                     for K in range(1, k + 1):
                         for size in range(k - K + 1):
                             for blocked in combinations(range(n), size):
-                                assert _vsb_at_least(g, K, blocked, tables) == (
-                                    first_failing_set(g, K, blocked) is None
-                                ), (g.edges(), k, K, blocked)
+                                passes = first_failing_set(g, K, blocked) is None
+                                for tables in both:
+                                    assert (
+                                        _vsb_at_least(g, K, blocked, tables) == passes
+                                    ), (g.edges(), k, K, blocked)
         assert seen == {(k, s) for k in (1, 2, 3) for s in range(k)}
         assert late >= 10
 
@@ -719,6 +729,60 @@ class TestMengerVerdict:
         # took about 0.4 s; vertex 7 keeps its in-arcs from 78 and 87
         near = near_miss(generate(InstanceSpec(100, seed=1)).graph, 7)
         assert is_k_vsb(near, 3).witness == Witness(VERTEX_CUT, (78, 87))
+
+    def test_tables_keep_memory_linear(self):
+        # each fan into t of the reversed directed cycle runs t+1, ..., 0,
+        # and every undirected fan runs the long way round: keeping those
+        # paths took 1.8 MB at n=200 (about 1.5 n^2 entries); the counts
+        # alone take O(n)
+        n = 200
+        g = directed_cycle(n)
+        tracemalloc.start()
+        try:
+            report = is_k_vsb(g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.witness == Witness(VERTEX_CUT, (0,))
+        assert peak < 1000 * n
+
+    def test_size_tests_count_as_without_table(self, monkeypatch):
+        # the tests that find the witness's size count each item only as
+        # far as they need it and stop at their first failing item, as they
+        # do without a table; counting to a fixed cap instead walked every
+        # fan of the bidirected path to its end, O(n^2) in all
+        calls = []
+        original = connectivity._disjoint_paths
+
+        def counting(reverse, starts, t, need, blocked, pred=None):
+            calls.append((t, need, blocked))
+            return original(reverse, starts, t, need, blocked, pred)
+
+        def counted(run):
+            calls.clear()
+            run()
+            return list(calls)
+
+        n = 300
+        arcs = [(i, i + 1) for i in range(n - 1)]
+        bidirected_path = Digraph(n, arcs + [(j, i) for i, j in arcs])
+        # 2-vsb, witness {0, 1}: the size tests pass at levels 1 and 2
+        square = Digraph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+        monkeypatch.setattr(connectivity, "_disjoint_paths", counting)
+        for g, k, levels, cut in (
+            (bidirected_path, 1, (1,), ()),
+            (bidirected_path, 3, (3, 2, 1), ()),
+            (directed_path(9), 2, (2, 1), ()),
+            (square, 3, (3, 2), (0, 1)),
+        ):
+            alone = counted(lambda: [_vsb_at_least(g, K, ()) for K in levels])
+            shared = counted(lambda: is_k_vsb(g, k))
+            # the same counts in the same order, none of them asked for
+            # more paths (a table caps a count at its number of starts)
+            pairs = zip(shared, alone)
+            assert all(a[::2] == b[::2] and a[1] <= b[1] for a, b in pairs)
+            assert len(alone) <= len(shared) <= len(alone) + 2 * len(cut)
+            assert is_k_vsb(g, k).witness == Witness(VERTEX_CUT, cut)
 
     def test_true_verdict_checks_no_residual(self, monkeypatch):
         # a verdict, true or false, is decided by path counts alone, and so
