@@ -23,13 +23,14 @@ bounds are checked by Even's test, on one primitive that counts
 vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`).
 The witness of a false verdict is searched among deletion sets, each
 prefix and each leaf decided by the same test; these tests share one
-table of Even's counts on g itself, with their paths, and recount an
-item on a residual only when the deleted vertices meet enough of its
-paths.  The extractors' local removability test (:func:`_stays_k_vsb`)
-makes at most two counts with the same primitive.
+table of Even's counts on g itself, indexed by the vertices of their
+paths, and visit, or recount on a residual, only the items whose paths
+the deleted vertices meet.  The extractors' local removability test
+(:func:`_stays_k_vsb`) makes at most two counts with the same primitive.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Collection, Container, Iterable, Iterator, Sequence
@@ -101,9 +102,21 @@ class _Table:
     may exist) and with the vertices of its paths when they number at
     most ``keep`` times the cap; longer paths, as in sparse graphs, are
     dropped, so the table holds O(cap) vertices per item.
+
+    ``settled`` is the highest K at which Even's test on g itself passed
+    with this table, so every fan into t >= settled has a count of at
+    least settled here (0 if none).  Once a test asks for the fans to
+    visit (:meth:`fans`), each fan, coded 2t + orientation index, is
+    listed in ``on`` under every vertex of its kept paths, or in the
+    sorted ``loose`` list once its paths were dropped (``listed``); a
+    list may name a fan whose paths have since changed.
     """
 
     counts: dict[Item, Count] = field(default_factory=dict)
+    on: dict[int, list[int]] = field(default_factory=dict)
+    loose: list[int] = field(default_factory=list)
+    listed: bool = False
+    settled: int = 0
     keep = 4
 
     def count(
@@ -120,23 +133,78 @@ class _Table:
 
         The item is counted on g, capped at K + |blocked|, when it has no
         count yet, or when its count reached its cap and fewer than K of
-        its paths avoid the blocked vertices.
+        its paths avoid the blocked vertices.  A capped count whose paths
+        were kept is extended from them: augmenting from a set of disjoint
+        paths (a feasible flow) reaches the same count as from none.
         """
         found = self.counts.get(item)
+        old: dict[int, int] | None = None
         if found is not None:
-            count, capped, paths = found
-            cut = _cut(paths, blocked)
+            count, capped, old = found
+            cut = _cut(old, blocked)
             if count - cut >= K or not capped:
                 return count, cut
-        _, t, own = item
-        paths = {}
+        side, t, own = item
+        paths = dict(old) if old else {}
         # each path takes a start of its own, so no more can exist
         need = min(K + len(blocked), len(starts))
         count = _disjoint_paths(reverse, starts, t, need, own, paths)
         if len(paths) > self.keep * need:
             paths = None
         self.counts[item] = count, count == need < len(starts), paths
+        if self.listed and not own:
+            self._list(2 * t + side, paths, old)
         return count, _cut(paths, blocked)
+
+    def _list(
+        self, fan: int, paths: dict[int, int] | None, old: dict[int, int] | None
+    ) -> None:
+        """List a fan under the vertices its paths gained over ``old``, or
+        as loose if its paths were dropped."""
+        if paths is None:
+            at = bisect_left(self.loose, fan)
+            if self.loose[at : at + 1] != [fan]:
+                self.loose.insert(at, fan)
+            return
+        for v in paths:
+            if not old or v not in old:
+                self.on.setdefault(v, []).append(fan)
+
+    def fans(
+        self, alive: Sequence[int], K: int, blocked: tuple[int, ...], sides: int
+    ) -> Iterator[int]:
+        """The fans, coded as in ``on``, that a test at level K <= settled
+        of the survivors ``alive`` must visit, in Even's order: those into
+        survivors below ``settled``, those listed under a blocked vertex
+        and the loose ones (proof in :func:`_connectivity_at_least`).  The
+        first call lists every fan counted so far."""
+        if not self.listed:
+            self.listed = True
+            for (side, t, own), (_, _, paths) in self.counts.items():
+                if not own:
+                    self._list(2 * t + side, paths, None)
+        first = alive[K]
+        meeting = {fan for v in blocked for fan in self.on.get(v, ())}
+        hits = sorted(
+            meeting.union(
+                2 * t + side
+                for t in range(first, self.settled)
+                if t not in blocked
+                for side in range(sides)
+            )
+        )
+        loose = self.loose
+        fan = 2 * first - 1
+        while True:
+            # a count made for the last fan may have added it to loose, so
+            # the next fan above it is looked up afresh in both lists
+            i = bisect_right(loose, fan)
+            j = bisect_right(hits, fan)
+            fan = min(loose[i : i + 1] + hits[j : j + 1], default=-1)
+            if fan == -1:
+                return
+            if fan >> 1 not in blocked:
+                yield fan
 
 
 def _cut(paths: dict[int, int] | None, blocked: tuple[int, ...]) -> int:
@@ -195,10 +263,15 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     (:class:`_Table`): each item is counted there as far as the first
     test that asks it can use, so the tests that find s count as they
     would without it, and again, further, only when a later test needs
-    more paths than the count shows.  Each prefix or leaf test recounts,
-    with P deleted, only the items whose paths P cuts below the level
-    asked, so a witness that comes late in the order no longer costs
-    one full test per first vertex before it.
+    more paths than the count shows, extending its kept paths.  Each
+    prefix or leaf test recounts, with P deleted, only the items whose
+    paths P cuts below the level asked.  Once the test at level s has
+    passed, the table lists each fan under the vertices of its paths,
+    and a prefix or leaf test visits only the fans listed under a vertex
+    of P, besides the pairs, the fans into the first few survivors and
+    those whose paths were dropped; so a witness that comes late in the
+    order costs neither a full test nor a walk over every item per first
+    vertex before it.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
@@ -291,18 +364,29 @@ def _orientations(g: Digraph, directed: bool) -> Orientations:
 
 
 def _even_items(
-    orientations: Orientations, alive: Sequence[int], K: int
+    orientations: Orientations,
+    alive: Sequence[int],
+    K: int,
+    fans: Iterable[int] | None = None,
 ) -> Iterator[
     tuple[int, int, tuple[int, ...], tuple[list[set[int]], ...], Collection[int]]
 ]:
     """The counts of Even's test at connectivity K over the survivors
     ``alive`` (in id order), each of which must reach K: every pair among
     the first K survivors and then a fan into each later one, in each
-    orientation.  Each is yielded as its :data:`Item` name followed by
-    the reverse view and the starts to count it on."""
+    orientation, or only the ``fans`` given, coded 2t + orientation index
+    in increasing order.  Each is yielded as its :data:`Item` name
+    followed by the reverse view and the starts to count it on."""
     for side, (view, reverse) in enumerate(orientations):
         for a, b in combinations(alive[:K], 2):
             yield side, b, (a,), reverse, set().union(*(adj[a] for adj in view))
+    if fans is not None:
+        for fan in fans:
+            t, side = fan >> 1, fan & 1
+            yield side, t, (), orientations[side][1], range(t)
+        return
+    # every true verdict walks all fans; a loop over t, with no codes,
+    # keeps that walk as cheap as it was
     reverses = [(side, reverse) for side, (_, reverse) in enumerate(orientations)]
     for t in alive[K:]:
         # the earlier survivors: every unblocked id below t
@@ -356,9 +440,27 @@ def _connectivity_at_least(
       residual's item; c-h >= K passes it.
     - Deleting vertices adds no path, so c < K (exact) fails the item
       in the residual too.
+
+    Once Even's test at some level s >= K has passed on g itself with
+    this table (``table.settled``), the test visits only the pairs, the
+    fans into survivors below s, the fans the table lists under a vertex
+    of P and the fans whose paths it dropped (:meth:`_Table.fans`), in
+    the order of the full walk.  Every other fan passes without a visit:
+    it is a fan into some t >= s, so the passing test at level s counted
+    it, and its count c on g is at least s >= K (counts on g only grow
+    as they are extended); its paths are kept and the table lists it
+    under each of their vertices, none of which is in P, so h = 0 and
+    c-h >= K.  The verdict is the full walk's, and so is every count
+    made before the first failing item.
     """
-    alive = [v for v in range(n) if v not in blocked]
-    for side, t, own, reverse, starts in _even_items(orientations, alive, K):
+    fans = None
+    if table is not None and K <= table.settled:
+        # the pairs and the fans to visit need only the first K+1 survivors
+        alive = [v for v in range(min(n, K + 1 + len(blocked))) if v not in blocked]
+        fans = table.fans(alive, K, blocked, len(orientations))
+    else:
+        alive = [v for v in range(n) if v not in blocked]
+    for side, t, own, reverse, starts in _even_items(orientations, alive, K, fans):
         if table is not None:
             known, cut = table.count((side, t, own), reverse, starts, K, blocked)
             if known < K:
@@ -367,6 +469,8 @@ def _connectivity_at_least(
                 continue
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False
+    if table is not None and not blocked:
+        table.settled = max(table.settled, K)
     return True
 
 
@@ -391,8 +495,11 @@ def _disjoint_paths(
     t over the implicit vertex-split graph (node 2v enters v, node 2v+1
     leaves it, with unit capacity in between), adds one path.  Searching
     from t touches only the vertices near it, however many starts there
-    are.  An empty dict passed as ``pred`` is left holding the counted
-    paths; its keys are their vertices other than t.
+    are.  A dict passed as ``pred`` is left holding the counted paths;
+    its keys are their vertices other than t.  If it holds the paths of
+    an earlier count with the same arguments but a lower need, the count
+    continues from them (Ford-Fulkerson from a feasible flow reaches the
+    same value), at one search per path added.
     """
     # pred[v]: _SOURCE if v starts a path, else the vertex before v on
     # it; succ[v]: the vertex after v; vertices off every path are absent
@@ -400,6 +507,13 @@ def _disjoint_paths(
         pred = {}
     succ: dict[int, int] = {}
     count = 1 if t in starts else 0
+    if pred:
+        succ = {x: v for v, x in pred.items() if x != _SOURCE}
+        # one start per path; the last vertex of each path enters t
+        count += len(pred) - len(succ)
+        for v in pred:
+            if v not in succ:
+                succ[v] = t
     for adj in reverse:
         for y in adj[t]:
             if count >= need:

@@ -548,6 +548,79 @@ def fan_cut(g: Digraph, views, starts, t, blocked) -> int:
     raise AssertionError("removing every other vertex always cuts t off")
 
 
+def search_order(n: int, size: int, prefix: tuple[int, ...] = ()):
+    """Every prefix and leaf of the witness search for a set of ``size``
+    vertices (connectivity._first_cut), in the order it tests them, none
+    skipped."""
+    first = prefix[-1] + 1 if prefix else 0
+    for x in range(first, n - size + len(prefix) + 1):
+        yield prefix + (x,)
+        if len(prefix) + 1 < size:
+            yield from search_order(n, size, prefix + (x,))
+
+
+def assert_search_agrees(g: Digraph, k: int, tables) -> int:
+    """Run is_k_vsb's size tests on g with ``tables`` as it does, then
+    every prefix and leaf test of its witness search on the same tables,
+    which the passing size test settled; each verdict must be the
+    enumeration's.  Returns the witness size."""
+    size = next(
+        (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
+    )
+    directed, undirected = tables
+    assert directed.settled >= size and undirected.settled >= size + (size > 0)
+    for blocked in search_order(g.n, size):
+        level = size - len(blocked) + 1
+        passes = first_failing_set(g, level, blocked) is None
+        assert _vsb_at_least(g, level, blocked, tables) == passes, (
+            g.edges(), k, blocked
+        )
+    return size
+
+
+def counted_is_k_vsb(monkeypatch, g: Digraph, k: int):
+    """is_k_vsb(g, k), with the number of _disjoint_paths calls and of
+    _Table.count visits it made."""
+    calls, visits = [], []
+    disjoint_paths, count = connectivity._disjoint_paths, _Table.count
+
+    def counting_paths(*args):
+        calls.append(args)
+        return disjoint_paths(*args)
+
+    def counting_visits(table, *args):
+        visits.append(args)
+        return count(table, *args)
+
+    monkeypatch.setattr(connectivity, "_disjoint_paths", counting_paths)
+    monkeypatch.setattr(_Table, "count", counting_visits)
+    return is_k_vsb(g, k), len(calls), len(visits)
+
+
+def held_paths(reverse, starts, t, blocked, pred) -> int:
+    """The number of paths into t that pred holds (plus one for a start
+    equal to t), after checking that they run along the view from
+    distinct unblocked starts and share no vertex but t."""
+    succ = {x: v for v, x in pred.items() if x != connectivity._SOURCE}
+    heads = [v for v, x in pred.items() if x == connectivity._SOURCE]
+    # every vertex has one predecessor, and none is the predecessor of two
+    assert len(succ) + len(heads) == len(pred)
+    assert t not in pred and not set(pred) & set(blocked)
+    walked = 0
+    for v in heads:
+        assert v in starts
+        while True:
+            walked += 1
+            assert walked <= len(pred)
+            nxt = succ.get(v, t)
+            assert any(v in adj[nxt] for adj in reverse)
+            if nxt == t:
+                break
+            v = nxt
+    assert walked == len(pred)
+    return len(heads) + (t in starts)
+
+
 class TestDisjointPaths:
     """The unit-vertex-capacity path count equals Menger's cut bound."""
 
@@ -579,6 +652,30 @@ class TestDisjointPaths:
                 searched += cut > direct
         # the augmenting searches, not the direct arcs, decide many counts
         assert searched > 100
+
+    @given(digraphs(min_n=2, max_n=7))
+    def test_extended_count_matches_fresh_count(self, g):
+        # a count capped at c and continued from its paths to a higher cap,
+        # as _Table extends a count, equals a fresh count at that cap, and
+        # leaves pred holding disjoint paths into t; every pair and fan of
+        # Even's test, in each orientation and in the undirected view
+        for directed in (True, False):
+            orientations = connectivity._orientations(g, directed)
+            for K in range(1, min(3, g.n - 1) + 1):
+                items = connectivity._even_items(orientations, range(g.n), K)
+                for _, t, own, reverse, starts in items:
+                    for cap in range(1, K + 2):
+                        pred = {}
+                        _disjoint_paths(reverse, starts, t, cap, own, pred)
+                        for more in range(cap + 1, K + 3):
+                            extended = dict(pred)
+                            got = _disjoint_paths(
+                                reverse, starts, t, more, own, extended
+                            )
+                            fresh = _disjoint_paths(reverse, starts, t, more, own)
+                            assert got == fresh, (g.edges(), t, own, cap, more)
+                            held = held_paths(reverse, starts, t, own, extended)
+                            assert held == got
 
     def test_augmenting_path_reroutes_a_path(self):
         # starts 0 and 1, t = 4: 1 can only go through 2, so when the
@@ -706,29 +803,46 @@ class TestMengerVerdict:
                                     assert (
                                         _vsb_at_least(g, K, blocked, tables) == passes
                                     ), (g.edges(), k, K, blocked)
+                    # the same tests in the witness search's order, where a
+                    # settled table visits only the counts a prefix can cut
+                    for table in (_Table, _Pathless):
+                        size = assert_search_agrees(g, k, (table(), table()))
+                        assert size == len(expected)
         assert seen == {(k, s) for k in (1, 2, 3) for s in range(k)}
         assert late >= 10
+        # the K6-block ring is 3-vsb, so its size tests settle at level 2;
+        # cut off a vertex of it, and its witness has size 2
+        ring = block_ring(3)
+        for g, size in ((ring, 2), (near_miss(ring, 0), 2)):
+            for table in (_Table, _Pathless):
+                assert assert_search_agrees(g, 3, (table(), table())) == size
 
     def test_near_miss_counts_once(self, monkeypatch):
         # the n=50 near-miss of tests/test_cli.py: with one full Even's test
-        # per prefix and leaf, is_k_vsb(near, 3) made 7,143 path counts
-        calls = []
-        original = connectivity._disjoint_paths
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
+        # per prefix and leaf, is_k_vsb(near, 3) made 7,143 path counts;
+        # walking the whole shared table in each test, it made 327 and
+        # visited the table 6,981 times
         near = near_miss(generate(InstanceSpec(50, 800, 1)).graph, 7)
-        monkeypatch.setattr(connectivity, "_disjoint_paths", counting)
-        assert is_k_vsb(near, 3).witness == Witness(VERTEX_CUT, (45, 48))
-        assert len(calls) <= 7143 // 5
+        report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
+        assert report.witness == Witness(VERTEX_CUT, (45, 48))
+        assert calls <= 327 and visits <= 6981 // 5
 
-    def test_late_witness_at_n100(self):
+    def test_late_witness_at_n100(self, monkeypatch):
         # recorded with one full Even's test per prefix and leaf, which
-        # took about 0.4 s; vertex 7 keeps its in-arcs from 78 and 87
+        # took about 0.4 s; vertex 7 keeps its in-arcs from 78 and 87.  A
+        # walk over the whole shared table made 628 path counts and 25,662
+        # table visits
         near = near_miss(generate(InstanceSpec(100, seed=1)).graph, 7)
-        assert is_k_vsb(near, 3).witness == Witness(VERTEX_CUT, (78, 87))
+        report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
+        assert report.witness == Witness(VERTEX_CUT, (78, 87))
+        assert calls <= 628 and visits <= 25662 // 5
+
+    @pytest.mark.parametrize("n, cut", [(200, (171, 187)), (400, (378, 390))])
+    def test_late_witness_at_scale(self, n, cut):
+        # recorded with one full Even's test per prefix and leaf (2.8 s and
+        # 15 s), where the indexed table saves the most
+        near = near_miss(generate(InstanceSpec(n, seed=1)).graph, 7)
+        assert is_k_vsb(near, 3).witness == Witness(VERTEX_CUT, cut)
 
     def test_tables_keep_memory_linear(self):
         # each fan into t of the reversed directed cycle runs t+1, ..., 0,
