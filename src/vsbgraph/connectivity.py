@@ -23,14 +23,13 @@ bounds are checked by Even's test, on one primitive that counts
 vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`).
 The witness of a false verdict is searched among deletion sets, each
 prefix and each leaf decided by the same test; these tests share one
-table of Even's counts on g itself, indexed by the vertices of their
-paths, and visit, or recount on a residual, only the items whose paths
-the deleted vertices meet.  The extractors' local removability test
+table of Even's counts on g itself (:class:`_Table`), and each visits
+and recounts only the items its deleted vertices can cut
+(:func:`_connectivity_at_least`).  The extractors' local removability test
 (:func:`_stays_k_vsb`) makes at most two counts with the same primitive.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Collection, Container, Iterable, Iterator, Sequence
@@ -49,9 +48,10 @@ Orientations = tuple[
     tuple[tuple[list[set[int]], ...], tuple[list[set[int]], ...]], ...
 ]
 
-# one count of Even's test, named (orientation index, t, own): the paths
+# one count of Even's test, named (t, orientation index, own): the paths
 # into t from the out-neighbours of a with own = (a,) blocked, for the
-# pair a < t, or from every survivor below t with own = (), for the fan
+# pair a < t, or from every survivor below t with own = (), for the fan;
+# fans sort into the order in which Even's test visits them
 Item = tuple[int, int, tuple[int, ...]]
 
 # an item's count on a whole graph, whether it reached its cap, and the
@@ -103,19 +103,17 @@ class _Table:
     most ``keep`` times the cap; longer paths, as in sparse graphs, are
     dropped, so the table holds O(cap) vertices per item.
 
+    Each time a fan is counted it is listed in ``on`` under every vertex
+    of its kept paths, or in ``loose`` if its paths were dropped; a fan
+    may be listed twice, or under a vertex its paths have since left.
     ``settled`` is the highest K at which Even's test on g itself passed
     with this table, so every fan into t >= settled has a count of at
-    least settled here (0 if none).  Once a test asks for the fans to
-    visit (:meth:`fans`), each fan, coded 2t + orientation index, is
-    listed in ``on`` under every vertex of its kept paths, or in the
-    sorted ``loose`` list once its paths were dropped (``listed``); a
-    list may name a fan whose paths have since changed.
+    least settled here (0 if none).
     """
 
     counts: dict[Item, Count] = field(default_factory=dict)
-    on: dict[int, list[int]] = field(default_factory=dict)
-    loose: list[int] = field(default_factory=list)
-    listed: bool = False
+    on: dict[int, list[Item]] = field(default_factory=dict)
+    loose: set[Item] = field(default_factory=set)
     settled: int = 0
     keep = 4
 
@@ -138,73 +136,45 @@ class _Table:
         paths (a feasible flow) reaches the same count as from none.
         """
         found = self.counts.get(item)
-        old: dict[int, int] | None = None
+        paths: dict[int, int] | None = {}
         if found is not None:
-            count, capped, old = found
-            cut = _cut(old, blocked)
+            count, capped, kept = found
+            cut = _cut(kept, blocked)
             if count - cut >= K or not capped:
                 return count, cut
-        side, t, own = item
-        paths = dict(old) if old else {}
+            paths = dict(kept or {})
+        t, _, own = item
         # each path takes a start of its own, so no more can exist
         need = min(K + len(blocked), len(starts))
         count = _disjoint_paths(reverse, starts, t, need, own, paths)
         if len(paths) > self.keep * need:
             paths = None
         self.counts[item] = count, count == need < len(starts), paths
-        if self.listed and not own:
-            self._list(2 * t + side, paths, old)
+        if not own:
+            if paths is None:
+                self.loose.add(item)
+            else:
+                for v in paths:
+                    self.on.setdefault(v, []).append(item)
         return count, _cut(paths, blocked)
 
-    def _list(
-        self, fan: int, paths: dict[int, int] | None, old: dict[int, int] | None
-    ) -> None:
-        """List a fan under the vertices its paths gained over ``old``, or
-        as loose if its paths were dropped."""
-        if paths is None:
-            at = bisect_left(self.loose, fan)
-            if self.loose[at : at + 1] != [fan]:
-                self.loose.insert(at, fan)
-            return
-        for v in paths:
-            if not old or v not in old:
-                self.on.setdefault(v, []).append(fan)
-
-    def fans(
-        self, alive: Sequence[int], K: int, blocked: tuple[int, ...], sides: int
-    ) -> Iterator[int]:
-        """The fans, coded as in ``on``, that a test at level K <= settled
-        of the survivors ``alive`` must visit, in Even's order: those into
+    def fans(self, first: int, blocked: tuple[int, ...], sides: int) -> list[Item]:
+        """The fans that a test at a level K <= settled must visit, in
+        Even's order, where ``first`` is its (K+1)-th survivor: those into
         survivors below ``settled``, those listed under a blocked vertex
-        and the loose ones (proof in :func:`_connectivity_at_least`).  The
-        first call lists every fan counted so far."""
-        if not self.listed:
-            self.listed = True
-            for (side, t, own), (_, _, paths) in self.counts.items():
-                if not own:
-                    self._list(2 * t + side, paths, None)
-        first = alive[K]
-        meeting = {fan for v in blocked for fan in self.on.get(v, ())}
-        hits = sorted(
-            meeting.union(
-                2 * t + side
+        and the loose ones, but none into a blocked vertex or below
+        ``first`` (proof in :func:`_connectivity_at_least`)."""
+        visit = self.loose.union(
+            *(self.on.get(v, ()) for v in blocked),
+            (
+                (t, side, ())
                 for t in range(first, self.settled)
-                if t not in blocked
                 for side in range(sides)
-            )
+            ),
         )
-        loose = self.loose
-        fan = 2 * first - 1
-        while True:
-            # a count made for the last fan may have added it to loose, so
-            # the next fan above it is looked up afresh in both lists
-            i = bisect_right(loose, fan)
-            j = bisect_right(hits, fan)
-            fan = min(loose[i : i + 1] + hits[j : j + 1], default=-1)
-            if fan == -1:
-                return
-            if fan >> 1 not in blocked:
-                yield fan
+        return sorted(
+            fan for fan in visit if fan[0] >= first and fan[0] not in blocked
+        )
 
 
 def _cut(paths: dict[int, int] | None, blocked: tuple[int, ...]) -> int:
@@ -260,18 +230,10 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
 
     Every Even's test stops at its first failing item.  The tests that
     find s and the prefix and leaf tests share one table of counts on g
-    (:class:`_Table`): each item is counted there as far as the first
-    test that asks it can use, so the tests that find s count as they
-    would without it, and again, further, only when a later test needs
-    more paths than the count shows, extending its kept paths.  Each
-    prefix or leaf test recounts, with P deleted, only the items whose
-    paths P cuts below the level asked.  Once the test at level s has
-    passed, the table lists each fan under the vertices of its paths,
-    and a prefix or leaf test visits only the fans listed under a vertex
-    of P, besides the pairs, the fans into the first few survivors and
-    those whose paths were dropped; so a witness that comes late in the
-    order costs neither a full test nor a walk over every item per first
-    vertex before it.
+    (:class:`_Table`), and a prefix or leaf test visits and recounts
+    only the items that P can cut (:func:`_connectivity_at_least`); so
+    a witness that comes late in the order costs neither a full test
+    nor a walk over every item per first vertex before it.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
@@ -364,35 +326,20 @@ def _orientations(g: Digraph, directed: bool) -> Orientations:
 
 
 def _even_items(
-    orientations: Orientations,
-    alive: Sequence[int],
-    K: int,
-    fans: Iterable[int] | None = None,
-) -> Iterator[
-    tuple[int, int, tuple[int, ...], tuple[list[set[int]], ...], Collection[int]]
-]:
+    orientations: Orientations, alive: Sequence[int], K: int, fans: Iterable[Item]
+) -> Iterator[tuple[Item, tuple[list[set[int]], ...], Collection[int]]]:
     """The counts of Even's test at connectivity K over the survivors
-    ``alive`` (in id order), each of which must reach K: every pair among
-    the first K survivors and then a fan into each later one, in each
-    orientation, or only the ``fans`` given, coded 2t + orientation index
-    in increasing order.  Each is yielded as its :data:`Item` name
-    followed by the reverse view and the starts to count it on."""
+    ``alive`` (in id order; only the first K are read): every pair among
+    them, in each orientation, and then the ``fans`` given, in order.
+    Each is yielded as its :data:`Item` followed by the reverse view and
+    the starts to count it on."""
     for side, (view, reverse) in enumerate(orientations):
         for a, b in combinations(alive[:K], 2):
-            yield side, b, (a,), reverse, set().union(*(adj[a] for adj in view))
-    if fans is not None:
-        for fan in fans:
-            t, side = fan >> 1, fan & 1
-            yield side, t, (), orientations[side][1], range(t)
-        return
-    # every true verdict walks all fans; a loop over t, with no codes,
-    # keeps that walk as cheap as it was
-    reverses = [(side, reverse) for side, (_, reverse) in enumerate(orientations)]
-    for t in alive[K:]:
+            yield (b, side, (a,)), reverse, set().union(*(adj[a] for adj in view))
+    for fan in fans:
+        t, side, _ = fan
         # the earlier survivors: every unblocked id below t
-        starts = range(t)
-        for side, reverse in reverses:
-            yield side, t, (), reverse, starts
+        yield fan, orientations[side][1], range(t)
 
 
 def _connectivity_at_least(
@@ -445,28 +392,40 @@ def _connectivity_at_least(
     this table (``table.settled``), the test visits only the pairs, the
     fans into survivors below s, the fans the table lists under a vertex
     of P and the fans whose paths it dropped (:meth:`_Table.fans`), in
-    the order of the full walk.  Every other fan passes without a visit:
-    it is a fan into some t >= s, so the passing test at level s counted
-    it, and its count c on g is at least s >= K (counts on g only grow
-    as they are extended); its paths are kept and the table lists it
-    under each of their vertices, none of which is in P, so h = 0 and
-    c-h >= K.  The verdict is the full walk's, and so is every count
-    made before the first failing item.
+    the order of the full walk.  That list is taken before the walk, and
+    a count changes the listing of its own item only, so a fan left out
+    is neither counted nor relisted during the walk.  Every such fan
+    passes without a visit: it is a fan into some t >= s, so the passing
+    test at level s counted it, and its count c on g is at least s >= K
+    (counts on g only grow as they are extended); its last count kept
+    its paths and listed it under each of their vertices, none of which
+    is in P, so h = 0 and c-h >= K.  The verdict is the full walk's, and
+    so is every count made before the first failing item.
     """
-    fans = None
+    # the pairs and the fans need only the first K+1 survivors
+    alive = [v for v in range(min(n, K + 1 + len(blocked))) if v not in blocked]
+    first, sides = alive[K], len(orientations)
+    fans: Iterable[Item]
     if table is not None and K <= table.settled:
-        # the pairs and the fans to visit need only the first K+1 survivors
-        alive = [v for v in range(min(n, K + 1 + len(blocked))) if v not in blocked]
-        fans = table.fans(alive, K, blocked, len(orientations))
+        fans = table.fans(first, blocked, sides)
     else:
-        alive = [v for v in range(n) if v not in blocked]
-    for side, t, own, reverse, starts in _even_items(orientations, alive, K, fans):
+        # made as walked, so a test that stops at an early item makes no
+        # more items (a list of every fan raised the peak memory of sparse
+        # false verdicts, beside a full table)
+        fans = (
+            (t, side, ())
+            for t in range(first, n)
+            if t not in blocked
+            for side in range(sides)
+        )
+    for item, reverse, starts in _even_items(orientations, alive, K, fans):
         if table is not None:
-            known, cut = table.count((side, t, own), reverse, starts, K, blocked)
+            known, cut = table.count(item, reverse, starts, K, blocked)
             if known < K:
                 return False
             if known - cut >= K:
                 continue
+        t, _, own = item
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False
     if table is not None and not blocked:

@@ -165,11 +165,12 @@ def _sweep(
     the fallback runs ``precondition`` and then the local-test walk and
     its recheck.  ``precondition`` raises :class:`NotKVsbError` unless g
     is k-vsb and returns the number of full tests it made; by default it
-    is ``is_k_vsb(g, k)``.  The backbone's grows g, its prefix, to the
-    shortest 2-vsb one.  ``removed`` keeps candidate order, ``protected``
-    input-edge order.  ``start`` is the caller's ``time.perf_counter()``
-    reading and ``full_tests``/``flow_tests`` its counts so far; the stats
-    include them.
+    is ``is_k_vsb(g, k)``.  The backbone's precondition also grows g,
+    which is a prefix of its input, to the shortest 2-vsb prefix
+    (:func:`compute_2vsb_spanning`).  ``removed`` keeps candidate order,
+    ``protected`` input-edge order.  ``start`` is the caller's
+    ``time.perf_counter()`` reading and ``full_tests``/``flow_tests`` its
+    counts so far; the stats include them.
     """
     work, removed, _ = _walk(g, k, candidates, protected, False)
     full_tests += 1

@@ -2,6 +2,7 @@
 import random
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -563,7 +564,8 @@ def assert_search_agrees(g: Digraph, k: int, tables) -> int:
     """Run is_k_vsb's size tests on g with ``tables`` as it does, then
     every prefix and leaf test of its witness search on the same tables,
     which the passing size test settled; each verdict must be the
-    enumeration's.  Returns the witness size."""
+    enumeration's, and the tables' index must hold after them
+    (assert_index_holds).  Returns the witness size."""
     size = next(
         (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
     )
@@ -575,7 +577,67 @@ def assert_search_agrees(g: Digraph, k: int, tables) -> int:
         assert _vsb_at_least(g, level, blocked, tables) == passes, (
             g.edges(), k, blocked
         )
+    for table in tables:
+        assert_index_holds(table)
     return size
+
+
+def assert_visits_sound(g: Digraph, k: int, tables) -> int:
+    """Run is_k_vsb's size tests on g with ``tables``, then its witness
+    search's prefix and leaf tests in order; before each test, at each
+    level K the table has settled, every fan of the residual that
+    _Table.fans leaves out must have K disjoint paths there, counted
+    afresh.  Returns the number of fans left out."""
+    size = next(
+        (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
+    )
+    skipped = 0
+    for blocked in search_order(g.n, size):
+        level = size - len(blocked) + 1
+        survivors = [v for v in range(g.n) if v not in blocked]
+        for directed, table in zip((True, False), tables):
+            K = level + (not directed)
+            if K > table.settled or len(survivors) <= K:
+                continue
+            orientations = connectivity._orientations(g, directed)
+            visited = table.fans(survivors[K], blocked, len(orientations))
+            for t in survivors[K:]:
+                for side, (_, reverse) in enumerate(orientations):
+                    if (t, side, ()) in visited:
+                        continue
+                    skipped += 1
+                    paths = _disjoint_paths(reverse, range(t), t, K, blocked)
+                    assert paths >= K, (g.edges(), blocked, K, t, side)
+        _vsb_at_least(g, level, blocked, tables)
+    return skipped
+
+
+def recorded_tables(g: Digraph, k: int, base=_Table):
+    """is_k_vsb(g, k) with tables of class ``base``, and those tables."""
+    tables = []
+
+    class Recording(base):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    with mock.patch.object(connectivity, "_Table", Recording):
+        return is_k_vsb(g, k), tables
+
+
+def assert_index_holds(table: _Table) -> None:
+    """Every fan with kept paths is listed under each vertex of them,
+    every fan whose paths were dropped is loose, and no pair is listed."""
+    listed = {v: set(fans) for v, fans in table.on.items()}
+    for item, (_, _, paths) in table.counts.items():
+        if item[2]:
+            continue  # a pair
+        if paths is None:
+            assert item in table.loose, item
+        else:
+            assert all(item in listed.get(v, ()) for v in paths), item
+    for fans in (table.loose, *listed.values()):
+        assert all(own == () for _, _, own in fans)
 
 
 def counted_is_k_vsb(monkeypatch, g: Digraph, k: int):
@@ -662,8 +724,13 @@ class TestDisjointPaths:
         for directed in (True, False):
             orientations = connectivity._orientations(g, directed)
             for K in range(1, min(3, g.n - 1) + 1):
-                items = connectivity._even_items(orientations, range(g.n), K)
-                for _, t, own, reverse, starts in items:
+                fans = [
+                    (t, side, ())
+                    for t in range(K, g.n)
+                    for side in range(len(orientations))
+                ]
+                items = connectivity._even_items(orientations, range(g.n), K, fans)
+                for (t, _, own), reverse, starts in items:
                     for cap in range(1, K + 2):
                         pred = {}
                         _disjoint_paths(reverse, starts, t, cap, own, pred)
@@ -816,6 +883,45 @@ class TestMengerVerdict:
         for g, size in ((ring, 2), (near_miss(ring, 0), 2)):
             for table in (_Table, _Pathless):
                 assert assert_search_agrees(g, 3, (table(), table())) == size
+
+    @given(digraphs(min_n=3, max_n=7))
+    def test_table_index_after_false_verdict(self, g):
+        # after a false verdict, each table lists its fans as
+        # assert_index_holds says, whether it kept their paths or not, also
+        # on the near-miss of the last vertex, whose fans the witness search
+        # must visit
+        graphs = [g]
+        if g.in_degree(g.n - 1) >= 2:
+            graphs.append(near_miss(g, g.n - 1))
+        for h in graphs:
+            for k in range(1, min(3, h.n - 1) + 1):
+                for base in (_Table, _Pathless):
+                    report, tables = recorded_tables(h, k, base)
+                    assert len(tables) == 2 * (not report.verdict)
+                    for table in tables:
+                        assert_index_holds(table)
+
+    def test_visit_list_leaves_out_only_passing_fans(self):
+        # Even's test with a settled table visits only the fans
+        # _Table.fans lists; every fan it leaves out must pass on the
+        # residual, which a check of verdicts alone would miss where a
+        # skipped fan happens to pass.  Half the graphs are near-misses of
+        # a late vertex, whose fans the witness search must visit
+        rng = random.Random(15)
+        skipped = 0
+        graphs = [block_ring(3), near_miss(block_ring(3), 15)]
+        for n in range(8, 13):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for trial in range(4):
+                p = rng.uniform(0.5, 0.95)
+                g = Digraph(n, [a for a in arcs if rng.random() < p])
+                v = rng.randrange(n // 2, n)
+                if trial % 2 and g.in_degree(v) >= 2:
+                    g = near_miss(g, v)
+                graphs.append(g)
+        for g in graphs:
+            skipped += assert_visits_sound(g, 3, (_Table(), _Table()))
+        assert skipped > 1000
 
     def test_near_miss_counts_once(self, monkeypatch):
         # the n=50 near-miss of tests/test_cli.py: with one full Even's test

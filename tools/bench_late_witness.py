@@ -150,7 +150,7 @@ def main() -> int:
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=BytesIO(git("archive", base_rev, "src"))) as tar:
-            tar.extractall(tmp)
+            tar.extractall(tmp, filter="data")
         sides = {"base": Path(tmp) / "src", "change": ROOT / "src"}
         for name in [*NEAR_MISS, *SPARSE]:
             row = rows[name] = compare(sides, name, args.repeat)
