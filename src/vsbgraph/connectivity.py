@@ -436,6 +436,14 @@ def _connectivity_at_least(
 _SOURCE = -1
 
 
+class _Own(dict):
+    """v -> (v,), made on first use: a vertex's own exit, which the
+    augmenting search reads as one more predecessor of its entry."""
+
+    def __missing__(self, v: int) -> tuple[int]:
+        return self.setdefault(v, (v,))
+
+
 def _disjoint_paths(
     reverse: tuple[list[set[int]], ...],
     starts: Container[int],
@@ -459,6 +467,18 @@ def _disjoint_paths(
     an earlier count with the same arguments but a lower need, the count
     continues from them (Ford-Fulkerson from a feasible flow reaches the
     same value), at one search per path added.
+
+    The queue holds entries only, and each search stops at the first
+    start it reaches.  An exit is entered from one entry alone: its
+    vertex's own if the vertex is free, else that of the vertex after it
+    on its path.  So each exit is passed through to that entry as soon
+    as it is discovered, and every entry but t's (the sink, marked from
+    the start) is entered from one exit alone.  The entries are thus
+    queued in the order of a search that queues the exits too, the first
+    start reached is the one that search finds when it tests each start
+    as it dequeues the exit before it, and each node on the way to t has
+    the same node after it: the paths found are the same, but the rest
+    of the start's layer is not expanded first.
     """
     # pred[v]: _SOURCE if v starts a path, else the vertex before v on
     # it; succ[v]: the vertex after v; vertices off every path are absent
@@ -482,6 +502,10 @@ def _disjoint_paths(
                 succ[y] = t
                 count += 1
     sink = 2 * t
+    # v's entry is entered from v's own exit, read first and only if v
+    # carries a path (a free v's own exit leads back to v's entry), and
+    # from the exit of every unblocked vertex with an arc into v
+    views = (_Own(), *reverse)
     while count < need:
         # after[node]: the node after it on the way to t
         after = {sink: sink}
@@ -489,31 +513,31 @@ def _disjoint_paths(
         found = -1
         for node in queue:
             v = node >> 1
-            if node & 1:
-                # v's exit is entered from v's entry if v is free, else
-                # from the entry of the vertex after v (undoing that arc)
-                p = 2 * succ[v] if v in pred else node - 1
-                if p in after:
-                    continue
-                after[p] = node
-                u = p >> 1
-                if u in starts and pred.get(u) != _SOURCE:
-                    # a start that begins no path yet: the source enters it
-                    found = p
-                    break
-                queue.append(p)
-                continue
-            # v's entry is entered from the exit of every unblocked vertex
-            # with an arc into v, and from v's own exit if v carries a path
-            if v in pred and node + 1 not in after:
-                after[node + 1] = node
-                queue.append(node + 1)
-            for adj in reverse:
+            for adj in views if v in pred else reverse:
                 for y in adj[v]:
-                    p = 2 * y + 1
-                    if p not in after and y not in blocked:
-                        after[p] = node
-                        queue.append(p)
+                    x = 2 * y + 1
+                    if x in after or y in blocked:
+                        continue
+                    after[x] = node
+                    # y's exit is entered from y's entry if y is free,
+                    # else from the entry of the vertex after y (undoing
+                    # that arc); only the sink can be marked already
+                    p = 2 * succ[y] if y in pred else x - 1
+                    if p in after:
+                        continue
+                    after[p] = x
+                    if p >> 1 in starts and pred.get(p >> 1) != _SOURCE:
+                        # a start that begins no path yet: the source
+                        # enters it
+                        found = p
+                        break
+                    queue.append(p)
+                else:
+                    continue
+                break  # a start was found: leave every loop
+            else:
+                continue
+            break
         if found == -1:
             return count
         # walk the path to t; removals before additions, since a vertex

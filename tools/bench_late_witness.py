@@ -1,25 +1,29 @@
-"""Before/after cost of false ``is_k_vsb(g, 3)`` verdicts, whose witness
-search is most of their work.
+"""Before/after cost of ``is_k_vsb(g, 3)``, on false verdicts, whose
+witness search is most of their work, and on true ones.
 
     python3 tools/bench_late_witness.py --base REV [--out FILE] [--repeat R]
 
 Extracts ``src/`` of git revision REV (``git archive``) into a temporary
 directory and runs every instance on it ("base") and on the ``src/``
 next to this script ("change").  Per instance and side it records the
-witness, the CPU time of ``is_k_vsb(g, 3)`` (median of R runs, in ms),
-and from one further run the number of ``_Table.count`` visits and
-``_disjoint_paths`` calls and the tracemalloc peak (KB).  Each run has a
-fresh Python process, and the sides alternate, since on a shared machine
-the speed of a process can differ from the next one's by a third.  It
-fails if the two sides report different witnesses, and writes
-everything as JSON (default ``BENCH_late_witness.json``).  A run takes
-about ten minutes, most of it in the traced runs of the sparse
-instances, since tracemalloc slows their many allocations several-fold.
+verdict's witness, the CPU time of ``is_k_vsb(g, 3)`` (median of R
+runs, in ms), and from one further run the number of ``_Table.count``
+visits and ``_disjoint_paths`` calls and the tracemalloc peak (KB).
+Each run has a fresh Python process, and the sides alternate, since on
+a shared machine the speed of a process can differ from the next one's
+by a third.  It fails if the two sides report different witnesses, or
+a different number of visits or calls, and writes everything as JSON
+(default ``BENCH_late_witness.json``).  A run takes about a quarter of
+an hour, most of it in the traced runs of the sparse instances, since
+tracemalloc slows their many allocations several-fold.
 
 Instances: near-miss copies of ``generate(InstanceSpec(n, seed=1))`` in
 which vertex 7 keeps only its two highest in-neighbours (n = 50 with
-800 initial arcs, as pinned in the tests, then n = 100, 200, 400), and
-four sparse false inputs at n = 1,000, whose kept paths are few.
+800 initial arcs, as pinned in the tests, then n = 100, 200, 400); four
+sparse false inputs at n = 1,000, whose kept paths are few; and three
+true verdicts: the perfbench ``check`` instance
+``generate(InstanceSpec(50, 800, 100000))`` and
+``generate(InstanceSpec(n, seed=1))`` at n = 200 and 1,000.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -42,12 +47,17 @@ NEAR_MISS = {"near_miss_n50": (50, 800), "near_miss_n100": (100, None),
              "near_miss_n200": (200, None), "near_miss_n400": (400, None)}
 SPARSE = ("directed_cycle_n1000", "bidirected_cycle_n1000",
           "directed_square_cycle_n1000", "bidirected_path_n1000")
+TRUE = {"check_n50": (50, 800, 100000), "generated_n200": (200, None, 1),
+        "generated_n1000": (1000, None, 1)}
+COUNTERS = ("witness", "table_visits", "disjoint_paths_calls")
 
 
 def build(name: str):
     """The instance called ``name``, from the vsbgraph on sys.path."""
     from vsbgraph import Digraph, InstanceSpec, generate
 
+    if name in TRUE:
+        return generate(InstanceSpec(*TRUE[name])).graph
     if name in NEAR_MISS:
         n, m = NEAR_MISS[name]
         g = generate(InstanceSpec(n, m, 1)).graph
@@ -152,14 +162,15 @@ def main() -> int:
         with tarfile.open(fileobj=BytesIO(git("archive", base_rev, "src"))) as tar:
             tar.extractall(tmp, filter="data")
         sides = {"base": Path(tmp) / "src", "change": ROOT / "src"}
-        for name in [*NEAR_MISS, *SPARSE]:
+        for name in [*NEAR_MISS, *SPARSE, *TRUE]:
             row = rows[name] = compare(sides, name, args.repeat)
-            if row["base"]["witness"] != row["change"]["witness"]:
-                print(f"{name}: witnesses differ: {row}", file=sys.stderr)
+            if any(row["base"][key] != row["change"][key] for key in COUNTERS):
+                print(f"{name}: witnesses or counts differ: {row}", file=sys.stderr)
                 return 1
             print(name, {side: row[side]["cpu_ms"] for side in sides}, file=sys.stderr)
     result = {
-        "command": "python3 tools/bench_late_witness.py --base " + args.base,
+        "command": shlex.join(["python3", "tools/bench_late_witness.py",
+                               *sys.argv[1:]]),
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
