@@ -609,50 +609,54 @@ def _stays_k_vsb(g: Digraph, k: int, u: int, v: int) -> bool:
     )
 
 
-def _below_degree_bound(g: Digraph, v: int, k: int) -> bool:
-    """True when v's degrees alone show that g (with n > k) is not k-vsb.
+def _slacks(g: Digraph, k: int) -> list[list[int]]:
+    """How far each vertex's out-degree, in-degree and number of distinct
+    neighbours lie above the k-vsb degree bound, as three lists indexed by
+    vertex; g has n > k vertices.  A negative slack shows that g is not
+    k-vsb.  This is the degree rule of the extractors and the generator.
 
-    The bound is in- or out-degree below k, or, when n >= k+2,
-    undirected degree (distinct neighbours in either direction) below
-    k+1 (Whitney's inequality: vertex connectivity <= minimum degree).
-    Proof that each case breaks k-vsb:
+    The bound is in- and out-degree k and, when n >= k+2, undirected
+    degree (distinct neighbours in either direction) k+1 (Whitney's
+    inequality: vertex connectivity <= minimum degree).  Proof that a
+    vertex below it breaks k-vsb:
 
-    - Delete the at most k-1 in- (or out-) neighbours of v.  At least
-      two vertices survive, and none of them has an arc into (or out
-      of) v, so the residual is not strongly connected.
+    - Delete its at most k-1 in- (or out-) neighbours.  At least two
+      vertices survive, and none of them has an arc into (or out of) the
+      vertex, so the residual is not strongly connected.
     - With at most k undirected neighbours, delete k-1 of them, or all
       if there are fewer.  At least three vertices survive.  If no
-      neighbour is left, v is isolated; otherwise the one neighbour left
-      separates v from the other survivors and is an articulation point.
+      neighbour is left, the vertex is isolated; otherwise the one
+      neighbour left separates it from the other survivors and is an
+      articulation point.
 
     At n = k+1 the undirected case does not apply: the complete
     bidirected graph on k+1 vertices is k-vsb with undirected degree k.
     """
-    out = g._out[v]
-    inn = g._in[v]
-    if len(out) < k or len(inn) < k:
-        return True
-    return g.n >= k + 2 and len(out | inn) < k + 1
+    fewest = k + 1 if g.n >= k + 2 else 0
+    nbrs = [len(a | b) - fewest for a, b in zip(g._out, g._in)]
+    return [[len(s) - k for s in g._out], [len(s) - k for s in g._in], nbrs]
 
 
 def _degree_gated(
     g: Digraph, arcs: Iterable[tuple[int, int]], k: int
 ) -> Iterator[int]:
     """Add ``arcs`` to g one at a time; yield the number added so far
-    whenever no vertex is below the k-vsb degree bound, including 0 if g
-    meets it already.  Degrees only grow, so after the first yield it
-    yields after every further arc."""
-    short = {v for v in range(g.n) if _below_degree_bound(g, v, k)}
-    added = 0
-    if not short:
-        yield added
-    for u, v in arcs:
-        g.add_edge(u, v)
-        added += 1
-        for x in (u, v):
-            if x in short and not _below_degree_bound(g, x, k):
-                short.discard(x)
-        if not short:
+    whenever no vertex is below the k-vsb degree bound (:func:`_slacks`),
+    including 0 if g meets it already.  Degrees only grow, so after the
+    first yield it yields after every further arc."""
+    out, inn, nbrs = _slacks(g, k)
+    # units of slack missing below the bound; an arc makes up at most 4
+    missing = -sum([s for s in out + inn + nbrs if s < 0])
+    add, succ = g.add_edge, g._out
+    if not missing:
+        yield 0
+    for added, (u, v) in enumerate(arcs, 1):
+        lone = u not in succ[v]
+        add(u, v)
+        missing -= (out[u] < 0) + (inn[v] < 0) + lone * ((nbrs[u] < 0) + (nbrs[v] < 0))
+        out[u], inn[v] = out[u] + 1, inn[v] + 1
+        nbrs[u], nbrs[v] = nbrs[u] + lone, nbrs[v] + lone
+        if not missing:
             yield added
 
 

@@ -90,8 +90,9 @@ class Digraph:
         A brand-new pair is appended to the edge sequence; a pair that
         was removed earlier is reactivated at its original position.
         """
-        self._check_vertex(u)
-        self._check_vertex(v)
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            self._check_vertex(u)
+            self._check_vertex(v)
         if u == v:
             raise SelfLoopError(f"self-loop ({u}, {v}) not allowed")
         if self._edges.get((u, v)):

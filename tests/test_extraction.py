@@ -18,7 +18,6 @@ from vsbgraph import (
 
 from vsbgraph import extraction
 from vsbgraph.connectivity import (
-    _below_degree_bound,
     _degree_gated,
     _stays_k_vsb,
     _vsb_at_least,
@@ -26,6 +25,7 @@ from vsbgraph.connectivity import (
 
 from graphutil import block_ring, complete_bidirected, directed_cycle
 from oracle import oracle_is_minimal, oracle_k_vsb
+from reference_walk import below_bound
 
 # input-order run on bidirected K5, verified minimal by the brute-force
 # oracle below; frozen to pin the deterministic edge-order policy
@@ -322,7 +322,7 @@ class TestOptimisticSweep:
                     run()
                 assert info.value.k == k
                 assert info.value.witness == report.witness
-                short = any(_below_degree_bound(g, v, k) for v in range(g.n))
+                short = any(below_bound(g, k))
                 raised.add((k, short))
         assert raised == {(k, short) for k in (1, 2, 3) for short in (True, False)}
 
@@ -346,7 +346,7 @@ def count_full_tests(monkeypatch, degree_checked=False) -> list[tuple[int, int]]
 
     def record(h, k):
         if degree_checked:
-            assert not any(_below_degree_bound(h, v, k) for v in range(h.n))
+            assert not any(below_bound(h, k))
         calls.append((k, h.m))
 
     def counting_is_k_vsb(h, k):

@@ -17,10 +17,11 @@ from vsbgraph import (
     random_digraph,
     serialize_edge_list,
 )
-from vsbgraph.connectivity import _below_degree_bound, _degree_gated
+from vsbgraph.connectivity import _degree_gated
 
 from graphutil import complete_bidirected
 from oracle import oracle_k_vsb
+from reference_walk import below_bound, below_degree_bound
 
 
 class TestInstanceSpec:
@@ -191,7 +192,7 @@ class TestDegreeGate:
                 p = rng.uniform(0.3, 1.0)
                 g = Digraph(n, [a for a in arcs if rng.random() < p])
                 for k in range(1, min(n - 1, 3) + 1):
-                    below = any(_below_degree_bound(g, v, k) for v in range(n))
+                    below = any(below_bound(g, k))
                     if not oracle_k_vsb(g, k):
                         continue
                     assert not below, (g.edges(), k)
@@ -209,10 +210,9 @@ class TestDegreeGate:
         g = complete_bidirected(5)
         g.remove_edge(0, 4)
         g.remove_edge(4, 0)
-        assert _below_degree_bound(g, 0, 3)
-        assert not _below_degree_bound(g, 1, 3)
+        assert below_bound(g, 3) == [True, False, False, False, True]
         k4 = complete_bidirected(4)
-        assert not any(_below_degree_bound(k4, v, 3) for v in range(4))
+        assert not any(below_bound(k4, 3))
 
     def test_gate_yields_from_shortest_bounded_prefix(self):
         # the first yield is the shortest prefix with no vertex below the
@@ -227,7 +227,7 @@ class TestDegreeGate:
                     first = next(
                         length for length in range(len(arcs) + 1)
                         if not any(
-                            _below_degree_bound(Digraph(n, arcs[:length]), v, k)
+                            below_degree_bound(Digraph(n, arcs[:length]), v, k)
                             for v in range(n)
                         )
                     )
@@ -246,7 +246,7 @@ class TestDegreeGate:
         calls = []
 
         def counting_is_k_vsb(g, k):
-            assert not any(_below_degree_bound(g, v, 3) for v in range(g.n))
+            assert not any(below_bound(g, 3))
             calls.append(g.m)
             return is_k_vsb(g, k)
 
