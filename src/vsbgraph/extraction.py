@@ -34,9 +34,8 @@ each candidate is decided in O(1), and the output graph is built once,
 from the kept edges in input order.  A vertex below the bound at the
 start stays there, so its arcs are degree keeps.  On the perfbench
 ``thin`` instances (n=16, m=128) the walk takes 0.15 ms of minimal's
-0.91 ms, and at n=1,000 (m=17,842) 25 of 143 ms, where it took 151 of
-279 ms when it removed and restored each candidate on a copy of the
-input (``tools/bench_sweep.py``, ``BENCH_degree_walk.json``).
+0.91 ms, and at n=1,000 (m=17,842) 25 of 143 ms
+(``BENCH_degree_walk.json``, measured by ``tools/bench_compare.py sweep``).
 
 If D fails, the sweep falls back to the greedy sweep itself, from the
 first candidate (the first candidate where the two walks part is not

@@ -22,22 +22,12 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .digraph import Digraph
 from .errors import GraphError
 from .extraction import ExtractionResult, minimal_k_vsb, two_phase_3vsb
 from .generator import InstanceSpec, generate
-
-CSV_COLUMNS = (
-    "n",
-    "m_input",
-    "seed",
-    "algo1_time_ms",
-    "algo1_edges",
-    "algo2_time_ms",
-    "algo2_edges",
-)
 
 # Largest number of rows a plan accepts: the plan builds and keeps every
 # row's instance spec up front, about 136 bytes each.
@@ -183,18 +173,12 @@ def emit_table(rows: list[ExperimentRow], fmt: str = "csv") -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        columns = [f.name for f in fields(ExperimentRow)]
+        writer.writerow(columns)
         for r in rows:
             writer.writerow(
-                [
-                    r.n,
-                    r.m_input,
-                    r.seed,
-                    f"{r.algo1_time_ms:.3f}",
-                    r.algo1_edges,
-                    f"{r.algo2_time_ms:.3f}",
-                    r.algo2_edges,
-                ]
+                f"{getattr(r, c):.3f}" if c.endswith("_ms") else getattr(r, c)
+                for c in columns
             )
         return buf.getvalue()
     if fmt == "md":

@@ -1,0 +1,48 @@
+"""tools/bench_compare.py: the counts its counting process reports, and
+its usage errors.  Each run is a subprocess, as in the tool: the
+counting run leaves Digraph and connectivity names wrapped for the rest
+of its process."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_compare.py"
+
+
+def run(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(TOOL), *args], env=env,
+                          capture_output=True, text=True)
+
+
+def counted(suite: str, name: str) -> dict:
+    done = run(suite, "--measure", name, "--counted", "1")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_sweep_counts_on_thin_0():
+    row = counted("sweep", "thin_0")
+    assert (row["n"], row["m"]) == (16, 128)
+    tests = {label: (row[label]["full_tests"], row[label]["flow_tests"],
+                     row[label]["edges_out"])
+             for label in ("minimal", "two_phase")}
+    assert tests == {"minimal": (1, 0, 50), "two_phase": (5, 69, 50)}
+
+
+def test_verdict_counts_on_check_n50():
+    row = counted("verdict", "check_n50")
+    assert (row["n"], row["m"]) == (50, 800)
+    assert (row["witness"], row["table_visits"], row["disjoint_paths_calls"]) == (
+        "None", 0, 152)
+
+
+def test_repeat_below_one_is_a_usage_error():
+    # an unknown base shows that no git command ran before the check
+    done = run("sweep", "--base", "no-such-revision", "--out", os.devnull,
+               "--repeat", "0")
+    assert done.returncode == 2
+    assert "--repeat must be at least 1" in done.stderr

@@ -92,10 +92,11 @@ class TestRowValidation:
 
 class TestEmitTable:
     def test_csv_single_row(self):
-        text = emit_table([sample_row()], "csv")
-        lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
-        assert lines[1] == "10,83,1,2000.000,32,1000.000,33"
+        # integer times still print with three decimals
+        for row in (sample_row(), ExperimentRow(10, 83, 1, 2000, 32, 1000, 33)):
+            lines = emit_table([row], "csv").splitlines()
+            assert lines[0] == CSV_HEADER
+            assert lines[1] == "10,83,1,2000.000,32,1000.000,33"
 
     def test_csv_empty(self):
         assert emit_table([], "csv") == CSV_HEADER + "\n"

@@ -1,0 +1,320 @@
+"""Before/after cost of the greedy sweeps or of ``is_k_vsb``.
+
+    python3 tools/bench_compare.py SUITE --base REV --out FILE [--repeat R]
+
+Runs every instance of SUITE on ``src/`` of git revision REV, extracted
+by ``git archive`` ("base"), and on the ``src/`` next to this script
+("change"): per side R timed fresh processes, the sides alternating,
+since on a shared machine one process can run a third faster than the
+next, then one counting process.  A timed process times each operation
+with GC paused: the median of a first call and as many more as fit in
+0.2 s of CPU, at most 50.  FILE gets, per instance and side, the
+instance's size and digest, the counts and, per operation, the median
+over the R processes (``cpu_ms``, in ms) and each one (``cpu_ms_runs``).
+The run exits 1 at the first instance whose sides differ in the
+instance or a compared field.
+
+``sweep`` times ``minimal_k_vsb(g, 3)``, ``two_phase_3vsb(g)`` and the
+degree-only walk alone (``extraction._walk`` at k=3 in input order).
+Per extractor it compares ``full_tests``, ``flow_tests``, the
+``removed`` list and a SHA-256 digest of the output (subgraph, removed,
+protected), and records the output edges and the calls of
+``Digraph.remove_edge`` and ``restore_edge``.  Instances: the perfbench
+``thin`` instances of its first 10 units (n=16, m=8n, instance seeds
+from 100000 whose 128 sampled arcs are already 3-vsb), which also get
+their median, ``generate(InstanceSpec(n, seed=1))`` at n = 100, 400 and
+1,000, and ``block_ring(67)`` from the tests, whose degree-only results
+fail their check, so both extractors fall back.  R=5 takes minutes.
+
+``verdict`` times ``is_k_vsb(g, 3)``, compares its witness and its
+``_Table.count`` visits and ``_disjoint_paths`` calls, and records its
+tracemalloc peak (KB).  Instances: near-miss copies of
+``generate(InstanceSpec(n, seed=1))`` in which vertex 7 keeps only its
+two highest in-neighbours (n = 50 with 800 initial arcs, as pinned in
+the tests, then n = 100, 200, 400); four sparse false inputs at
+n = 1,000, whose kept paths are few; and three true verdicts: the
+perfbench ``check`` instance ``generate(InstanceSpec(50, 800, 100000))``
+and ``generate(InstanceSpec(n, seed=1))`` at n = 200 and 1,000.  R=1
+takes minutes, mostly in the traced runs of the sparse instances.
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import inspect
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+import tracemalloc
+from functools import reduce
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+INNER_S = 0.2  # CPU seconds a timed process aims to spend per operation
+THIN = tuple(f"thin_{unit}" for unit in range(10))
+EXTRACTORS = ("minimal", "two_phase")
+
+
+def build(name: str):
+    """The instance called ``name``, from the vsbgraph on sys.path."""
+    from vsbgraph import Digraph, InstanceSpec, generate, is_k_vsb, random_digraph
+
+    if name == "block_ring_67":
+        sys.path.insert(0, str(ROOT / "tests"))
+        from graphutil import block_ring
+
+        return block_ring(67)
+    if name == "check_n50":
+        return generate(InstanceSpec(50, 800, 100000)).graph
+    if name in THIN:
+        seed, found = 100000, -1
+        while True:
+            if is_k_vsb(random_digraph(InstanceSpec(16, 128, seed)), 3):
+                found += 1
+                if f"thin_{found}" == name:
+                    return generate(InstanceSpec(16, 128, seed)).graph
+            seed += 1
+    n = int(name.rpartition("_n")[2])
+    if name.startswith("generated_"):
+        return generate(InstanceSpec(n, seed=1)).graph
+    if name.startswith("near_miss_"):
+        g = generate(InstanceSpec(n, 800 if n == 50 else None, 1)).graph
+        a, b = sorted(g.in_neighbors(7))[-2:]
+        return Digraph(n, [(x, y) for x, y in g.edges() if y != 7 or x in (a, b)])
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    path = [(i, i + 1) for i in range(n - 1)]
+    return Digraph(n, {
+        "directed_cycle": ring,
+        "bidirected_cycle": ring + [(v, u) for u, v in ring],
+        "directed_square_cycle": ring + [(i, (i + 2) % n) for i in range(n)],
+        "bidirected_path": path + [(v, u) for u, v in path],
+    }[name.rpartition("_n")[0]])
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def counting(tally: dict, key: str, fn):
+    """fn, adding one to tally[key] at each call."""
+    def counted(*args):
+        tally[key] += 1
+        return fn(*args)
+
+    return counted
+
+
+def sweep_operations(g) -> dict:
+    from vsbgraph import extraction
+
+    # the walk took a required local flag before it read counts
+    local = inspect.signature(extraction._walk).parameters["local"]
+    flag = () if local.default is None else (False,)
+    return {"minimal": lambda: extraction.minimal_k_vsb(g, 3),
+            "two_phase": lambda: extraction.two_phase_3vsb(g),
+            "walk": lambda: extraction._walk(g, 3, g.edges(), frozenset(), *flag)}
+
+
+def sweep_counts(g) -> dict:
+    """Each extractor's stats and digest, with Digraph.remove_edge and
+    restore_edge counted; the process ends after this, so the wrappers
+    stay in place."""
+    from vsbgraph import Digraph, serialize_edge_list
+
+    tally = {"remove_edge": 0, "restore_edge": 0}
+    for method in tally:
+        setattr(Digraph, method, counting(tally, method, getattr(Digraph, method)))
+    operations, row = sweep_operations(g), {}
+    for label in EXTRACTORS:
+        tally.update(remove_edge=0, restore_edge=0)
+        result = operations[label]()
+        row[label] = {
+            "full_tests": result.stats.full_tests,
+            "flow_tests": result.stats.flow_tests,
+            "edges_out": result.stats.edges_out,
+            "remove_edge_calls": tally["remove_edge"],
+            "restore_edge_calls": tally["restore_edge"],
+            "removed": sha(repr(tuple(result.removed))),
+            "digest": sha(serialize_edge_list(result.subgraph)
+                          + repr(tuple(result.removed))
+                          + repr(tuple(result.protected))),
+        }
+    return row
+
+
+def verdict_operations(g) -> dict:
+    from vsbgraph import connectivity
+
+    return {"is_k_vsb": lambda: connectivity.is_k_vsb(g, 3)}
+
+
+def verdict_counts(g) -> dict:
+    """The witness, the counted table visits and _disjoint_paths calls and
+    the tracemalloc peak of one is_k_vsb(g, 3); the wrappers stay."""
+    from vsbgraph import connectivity
+
+    # a first run, untraced, makes the allocations that only the first
+    # call of a process makes
+    connectivity.is_k_vsb(g, 3)
+    tally = {"table_visits": 0, "disjoint_paths_calls": 0}
+    connectivity._Table.count = counting(tally, "table_visits",
+                                         connectivity._Table.count)
+    connectivity._disjoint_paths = counting(tally, "disjoint_paths_calls",
+                                            connectivity._disjoint_paths)
+    tracemalloc.start()
+    report = connectivity.is_k_vsb(g, 3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"witness": str(report.witness), **tally,
+            "tracemalloc_peak_kb": round(peak / 1024, 1)}
+
+
+# per suite: instances, timed operations, counts, compared fields
+SUITES = {
+    "sweep": ([*THIN, "generated_n100", "generated_n400", "generated_n1000",
+               "block_ring_67"],
+              sweep_operations, sweep_counts,
+              [f"{label}.{key}" for label in EXTRACTORS
+               for key in ("digest", "removed", "full_tests", "flow_tests")]),
+    "verdict": (["near_miss_n50", "near_miss_n100", "near_miss_n200",
+                 "near_miss_n400", "directed_cycle_n1000", "bidirected_cycle_n1000",
+                 "directed_square_cycle_n1000", "bidirected_path_n1000",
+                 "check_n50", "generated_n200", "generated_n1000"],
+                verdict_operations, verdict_counts,
+                ["witness", "table_visits", "disjoint_paths_calls"]),
+}
+
+
+def cpu_ms(fn) -> float:
+    gc.disable()
+    try:
+        start = time.process_time()
+        fn()
+        return (time.process_time() - start) * 1000
+    finally:
+        gc.enable()
+
+
+def measure(suite: str, name: str, counted: bool) -> dict:
+    """Time each operation of the suite on one instance, or count it."""
+    from vsbgraph import serialize_edge_list
+
+    _, operations, counts, _ = SUITES[suite]
+    g = build(name)
+    row: dict = {"n": g.n, "m": g.m, "instance": sha(serialize_edge_list(g))}
+    if counted:
+        return {**row, **counts(g)}
+    row["cpu_ms"] = {}
+    for label, fn in operations(g).items():
+        times = [cpu_ms(fn)]
+        repeat = min(50, int(INNER_S * 1000 / max(times[0], 1e-3)))
+        times += [cpu_ms(fn) for _ in range(repeat)]
+        row["cpu_ms"][label] = statistics.median(times)
+    return row
+
+
+def run_side(suite: str, src: Path, name: str, counted: bool) -> dict:
+    command = [sys.executable, __file__, suite, "--measure", name,
+               "--counted", str(int(counted))]
+    return json.loads(subprocess.run(
+        command, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True).stdout)
+
+
+def compare(suite: str, sides: dict[str, Path], name: str, repeat: int) -> dict:
+    """Both sides of one instance: ``repeat`` timed processes each, the
+    order alternating, then one counting process each."""
+    timed: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(repeat):
+        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+            timed[side].append(run_side(suite, sides[side], name, False))
+    row = {}
+    for side, runs in timed.items():
+        entry = run_side(suite, sides[side], name, True)
+        if {run["instance"] for run in runs} != {entry["instance"]}:
+            raise SystemExit(f"{name}: {side} built different instances")
+        for label in runs[0]["cpu_ms"]:
+            times = [run["cpu_ms"][label] for run in runs]
+            part = entry.setdefault(label, {})
+            part["cpu_ms"] = round(statistics.median(times), 3)
+            part["cpu_ms_runs"] = [round(t, 3) for t in times]
+        row[side] = entry
+    return row
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args],
+                          capture_output=True, check=True).stdout
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("--base", help="git revision to compare against")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--measure", help=argparse.SUPPRESS)
+    parser.add_argument("--counted", type=int, default=0, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    if args.measure:
+        print(json.dumps(measure(args.suite, args.measure, bool(args.counted))))
+        return 0
+    if not (args.base and args.out):
+        parser.error("--base and --out are required")
+    instances, _, _, compared = SUITES[args.suite]
+    base_rev = git("rev-parse", args.base).decode().strip()
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=BytesIO(git("archive", base_rev, "src"))) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = {"base": Path(tmp) / "src", "change": ROOT / "src"}
+        for name in instances:
+            row = rows[name] = compare(args.suite, sides, name, args.repeat)
+            moved = [path for path in ["instance", *compared]
+                     if len({reduce(dict.get, path.split("."), row[side])
+                             for side in sides}) > 1]
+            if moved:
+                print(f"{name}: {', '.join(moved)} differ: {row}", file=sys.stderr)
+                return 1
+            print(name, {side: {label: part["cpu_ms"]
+                                for label, part in row[side].items()
+                                if isinstance(part, dict)}
+                         for side in sides}, file=sys.stderr)
+    result = {
+        "command": shlex.join(["python3", "tools/bench_compare.py", *sys.argv[1:]]),
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "processor": platform.processor(),
+            "cpu_count": os.cpu_count(),
+            "base": base_rev,
+            "change": git("rev-parse", "HEAD").decode().strip()
+            + (" + working tree" if git("status", "--porcelain", "src") else ""),
+        },
+        "repeat": args.repeat,
+    }
+    if args.suite == "sweep":
+        result["thin_median_cpu_ms"] = {
+            label: {side: round(statistics.median(
+                rows[name][side][label]["cpu_ms"] for name in THIN), 3)
+                for side in sides}
+            for label in (*EXTRACTORS, "walk")
+        }
+    result["instances"] = rows
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
