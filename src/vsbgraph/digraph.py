@@ -37,6 +37,12 @@ MAX_VERTICES = 100_000
 # costs time quadratic in its length, and CPython refuses past 4,300 digits.
 MAX_FIELD_DIGITS = 18
 
+_COMMENT = re.compile(r"^#.*\n?", re.MULTILINE)
+# a whole edge list with its comment lines dropped, when every line is
+# well formed: the header, then the arc lines, the final newline optional
+_FIELD = rf"\d{{1,{MAX_FIELD_DIGITS}}}"
+_EDGE_LIST = re.compile(rf"({_FIELD}) ({_FIELD})((?:\n{_FIELD} {_FIELD})*)\n?")
+
 
 class Digraph:
     """Simple directed graph: no self-loops, no parallel arcs."""
@@ -52,9 +58,14 @@ class Digraph:
         self._edges: dict[tuple[int, int], bool] = {}
         self._out: list[set[int]] = [set() for _ in range(n)]
         self._in: list[set[int]] = [set() for _ in range(n)]
-        self._m = 0
+        arcs, out, inn = self._edges, self._out, self._in
         for u, v in edges:
-            self.add_edge(u, v)
+            if not (0 <= u < n and 0 <= v < n) or u == v or (u, v) in arcs:
+                self.add_edge(u, v)  # raises the error for the first bad arc
+            arcs[(u, v)] = True
+            out[u].add(v)
+            inn[v].add(u)
+        self._m = len(arcs)
 
     @property
     def m(self) -> int:
@@ -120,7 +131,12 @@ class Digraph:
 
     def copy(self) -> Digraph:
         """Independent copy holding only the active edges."""
-        return Digraph(self.n, self.edges())
+        g = Digraph.__new__(Digraph)
+        g.n, g._m = self.n, self._m
+        g._edges = {e: True for e, alive in self._edges.items() if alive}
+        g._out = [set(s) for s in self._out]
+        g._in = [set(s) for s in self._in]
+        return g
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -148,6 +164,19 @@ def parse_edge_list(text: str) -> Digraph:
     """
     if not text.isascii():
         raise EdgeListSyntaxError("edge-list text must be ASCII")
+    match = _EDGE_LIST.fullmatch(_COMMENT.sub("", text))
+    if match is None:
+        _raise_line_error(text)
+    n, m, body = match.groups()
+    _check_sizes(int(n), int(m), body.count("\n"))
+    numbers = map(int, body.split())
+    return Digraph(int(n), zip(numbers, numbers))
+
+
+def _raise_line_error(text: str) -> None:
+    """Raise the error for text that ``_EDGE_LIST`` rejects once its
+    comment lines are dropped: the first failing check, line by line,
+    with line numbers that count the comment lines."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -162,23 +191,23 @@ def parse_edge_list(text: str) -> Digraph:
     match = _EDGE_LINE.fullmatch(header)
     if match is None:
         raise EdgeListSyntaxError(f"line {lineno}: expected 'n m', got {header!r}")
-    n, m = _fields(match, lineno)
-    if n > MAX_VERTICES:
-        raise TooLargeError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-    body = data[1:]
-    if len(body) != m:
-        raise EdgeListSyntaxError(
-            f"header declares {m} edges but {len(body)} edge lines found"
-        )
-    edges = []
-    for lineno, line in body:
+    _check_sizes(*_fields(match, lineno), len(data) - 1)
+    for lineno, line in data[1:]:
         match = _EDGE_LINE.fullmatch(line)
         if match is None:
             raise EdgeListSyntaxError(
                 f"line {lineno}: expected 'u v', got {line!r}"
             )
-        edges.append(_fields(match, lineno))
-    return Digraph(n, edges)
+        _fields(match, lineno)
+
+
+def _check_sizes(n: int, m: int, arc_lines: int) -> None:
+    if n > MAX_VERTICES:
+        raise TooLargeError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    if arc_lines != m:
+        raise EdgeListSyntaxError(
+            f"header declares {m} edges but {arc_lines} edge lines found"
+        )
 
 
 def _fields(match: re.Match[str], lineno: int) -> tuple[int, int]:

@@ -40,6 +40,13 @@ def test_verdict_counts_on_check_n50():
         "None", 0, 152)
 
 
+def test_ingest_counts_on_commented_check_n50():
+    # the comment lines change the text, not the graph parsed from it
+    row = counted("ingest", "check_n50_commented")
+    assert (row["n"], row["m"]) == (50, 800)
+    assert row["parsed"] == row["instance"] != row["text"]
+
+
 def test_repeat_below_one_is_a_usage_error():
     # an unknown base shows that no git command ran before the check
     done = run("sweep", "--base", "no-such-revision", "--out", os.devnull,

@@ -135,6 +135,27 @@ class TestCheck:
         assert main(["check", "--in", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("# one\n# two\n3 1\n0  1\n", "line 4: expected 'u v', got '0  1'"),
+        (f"3 1\n{'1' * 19} 0\n", "line 2: number longer than 18 digits"),
+        ("3 2\n0 1\n0 1\n", "edge (0, 1) already present"),
+    ])
+    def test_malformed_file_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="ascii")
+        assert main(["check", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_commented_file_without_final_newline(self, tmp_path, capsys):
+        g = generator.generate(generator.InstanceSpec(50, 800, 100000)).graph
+        lines = serialize_edge_list(g).splitlines()
+        lines.insert(0, "# generated, n=50")
+        lines.insert(400, "# halfway")
+        path = tmp_path / "commented.txt"
+        path.write_text("\n".join(lines), encoding="ascii")
+        assert main(["check", "--in", str(path), "--k", "3"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_vertex_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(digraph, "MAX_VERTICES", 4)
         path = write_graph(tmp_path / "k5.txt", complete_bidirected(5))

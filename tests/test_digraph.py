@@ -1,6 +1,7 @@
 """Digraph value type, edge bookkeeping, and the edge-list format."""
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsbgraph import (
     Digraph,
@@ -16,6 +17,7 @@ from vsbgraph import (
 )
 
 from graphutil import digraphs
+from reference_parse import reference_parse
 
 C3_EDGES = [(0, 1), (1, 2), (2, 0)]
 
@@ -38,6 +40,34 @@ class TestBuild:
     def test_out_of_range_rejected(self):
         with pytest.raises(OutOfRangeError):
             Digraph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edges,error,message", [
+        ([(0, 1), (0, 1), (0, 9)], DuplicateEdgeError, "edge (0, 1) already present"),
+        ([(0, 9), (0, 1), (0, 1)], OutOfRangeError, "vertex 9 outside [0, 4)"),
+        ([(0, 1), (2, 2), (0, 1)], SelfLoopError, "self-loop (2, 2) not allowed"),
+    ])
+    def test_first_bad_arc_decides_the_error(self, edges, error, message):
+        with pytest.raises(error) as caught:
+            Digraph(4, edges)
+        assert str(caught.value) == message
+
+    def test_arcs_read_once(self):
+        class Arcs:
+            reads = 0
+
+            def __iter__(self):
+                Arcs.reads += 1
+                return iter(C3_EDGES)
+
+        assert Digraph(3, Arcs()).edges() == C3_EDGES
+        assert Arcs.reads == 1
+        g = Digraph(3, (e for e in C3_EDGES))
+        assert (g.m, g.edges()) == (3, C3_EDGES)
+
+    def test_arcs_given_as_lists(self):
+        g = Digraph(3, [[0, 1], [1, 2]])
+        assert g.edges() == [(0, 1), (1, 2)]
+        assert g.has_edge(0, 1) and g.m == 2
 
     def test_adjacency_matches_edges(self):
         g = Digraph(3, C3_EDGES)
@@ -87,6 +117,18 @@ class TestRemoveRestore:
         with pytest.raises(DuplicateEdgeError):
             g.restore_edge(0, 1)
 
+    def test_copy_holds_only_active_arcs_and_shares_no_set(self):
+        g = Digraph(3, C3_EDGES)
+        g.remove_edge(1, 2)
+        h = g.copy()
+        assert (h.n, h.m, h._edges) == (3, 2, {(0, 1): True, (2, 0): True})
+        assert (h._out, h._in) == (g._out, g._in)
+        assert not any(a is b for a, b in zip(h._out + h._in, g._out + g._in))
+        h.add_edge(1, 2)
+        assert g.edges() == [(0, 1), (2, 0)] and g.out_neighbors(1) == set()
+        with pytest.raises(EdgeAbsentError, match=r"edge \(1, 2\) was never present"):
+            g.copy().restore_edge(1, 2)
+
     @given(digraphs(min_n=2))
     def test_remove_drops_exactly_one(self, g):
         edges = g.edges()
@@ -97,6 +139,58 @@ class TestRemoveRestore:
         g.remove_edge(u, v)
         assert g.m == before - 1
         assert (u, v) not in g.edges()
+
+
+# odd fields and separators, drawn into a noisy text: leading zeros, 18
+# and 19 digits, doubled spaces and tabs
+ODD_FIELDS = st.sampled_from(["00", "03", "0001", "1" * 18, "0" * 17 + "1",
+                              "1" * 19, "0" * 18 + "2"])
+ODD_SEPARATORS = st.sampled_from(["  ", "\t"])
+EXTRA_LINES = st.sampled_from(["# comment", "#", "#1 2", "# x\r", "", "\r"])
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list text: a header whose arc count may be off by one, arcs
+    that may repeat, loop or leave the range, comment lines anywhere and
+    an optional final newline; a noisy text also gets odd fields and
+    separators, blank lines, and a line that ends in a carriage return
+    or a ``#`` after its fields."""
+    noisy = draw(st.booleans())
+    fields = st.one_of(st.integers(0, 4).map(str), ODD_FIELDS) if noisy else (
+        st.integers(0, 4).map(str))
+    separators = st.one_of(st.just(" "), ODD_SEPARATORS) if noisy else st.just(" ")
+    arcs = draw(st.lists(st.tuples(fields, separators, fields), max_size=8))
+    lines = [f"{u}{sep}{v}" for u, sep, v in arcs]
+    m = max(0, len(lines) + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+    n = draw(st.one_of(st.integers(3, 7).map(str), fields))
+    lines.insert(0, f"{n}{draw(separators)}{m}")
+    extra = EXTRA_LINES if noisy else st.just("# comment")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(extra))
+    if noisy and draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] += draw(
+            st.sampled_from(["\r", "#", " # note"]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def commented_serializations(draw) -> str:
+    """A valid edge list with comment lines inserted, the last one
+    possibly unterminated."""
+    lines = serialize_edge_list(draw(digraphs(min_n=0))).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "# note")
+    return "\n".join(lines)
+
+
+def outcome(parse, text: str):
+    """The parsed graph's size, arcs and adjacency, or the error raised."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.n, g.m, g.edges(), g._out, g._in
 
 
 class TestEdgeListFormat:
@@ -151,6 +245,19 @@ class TestEdgeListFormat:
             parse_edge_list(f"3 {digits}\n")
         with pytest.raises(TooLargeError, match="line 3"):
             parse_edge_list(f"3 2\n0 1\n{digits} 2\n")
+
+    @settings(max_examples=500)
+    @example("2 1\n0 1#", False)  # a '#' after the fields is no comment
+    @example("2 1\n# last, unterminated", False)
+    @example("2 1\r\n0 1\r\n", False)
+    @given(st.one_of(edge_list_texts(), commented_serializations(),
+                     st.text("019 #\n\r\t\u0661", max_size=30)),
+           st.booleans())
+    def test_same_outcome_as_line_walk(self, text, small_limit):
+        with pytest.MonkeyPatch.context() as patch:
+            if small_limit:
+                patch.setattr(digraph, "MAX_VERTICES", 5)
+            assert outcome(parse_edge_list, text) == outcome(reference_parse, text)
 
     def test_serialize_after_parse_is_identity(self):
         text = "4 2\n0 1\n3 2\n"

@@ -1,4 +1,4 @@
-"""Before/after cost of the greedy sweeps or of ``is_k_vsb``.
+"""Before/after cost of the greedy sweeps, of ``is_k_vsb`` or of file ingest.
 
     python3 tools/bench_compare.py SUITE --base REV --out FILE [--repeat R]
 
@@ -36,6 +36,13 @@ n = 1,000, whose kept paths are few; and three true verdicts: the
 perfbench ``check`` instance ``generate(InstanceSpec(50, 800, 100000))``
 and ``generate(InstanceSpec(n, seed=1))`` at n = 200 and 1,000.  R=1
 takes minutes, mostly in the traced runs of the sparse instances.
+
+``ingest`` times ``parse_edge_list`` on the instance's edge-list text,
+``Digraph(n, edges)`` on its edge list and ``g.copy()``, and compares
+SHA-256 digests of the text and of ``serialize_edge_list`` of the parsed
+graph.  Instances: the perfbench ``check`` instance, the same text with
+a comment line before every 100th line, and ``generate(InstanceSpec(
+1000, seed=1))``.  R=5 takes about a minute.
 """
 from __future__ import annotations
 
@@ -73,7 +80,7 @@ def build(name: str):
         from graphutil import block_ring
 
         return block_ring(67)
-    if name == "check_n50":
+    if name in ("check_n50", "check_n50_commented"):
         return generate(InstanceSpec(50, 800, 100000)).graph
     if name in THIN:
         seed, found = 100000, -1
@@ -113,7 +120,7 @@ def counting(tally: dict, key: str, fn):
     return counted
 
 
-def sweep_operations(g) -> dict:
+def sweep_operations(g, name: str) -> dict:
     from vsbgraph import extraction
 
     # the walk took a required local flag before it read counts
@@ -124,7 +131,7 @@ def sweep_operations(g) -> dict:
             "walk": lambda: extraction._walk(g, 3, g.edges(), frozenset(), *flag)}
 
 
-def sweep_counts(g) -> dict:
+def sweep_counts(g, name: str) -> dict:
     """Each extractor's stats and digest, with Digraph.remove_edge and
     restore_edge counted; the process ends after this, so the wrappers
     stay in place."""
@@ -133,7 +140,7 @@ def sweep_counts(g) -> dict:
     tally = {"remove_edge": 0, "restore_edge": 0}
     for method in tally:
         setattr(Digraph, method, counting(tally, method, getattr(Digraph, method)))
-    operations, row = sweep_operations(g), {}
+    operations, row = sweep_operations(g, name), {}
     for label in EXTRACTORS:
         tally.update(remove_edge=0, restore_edge=0)
         result = operations[label]()
@@ -151,13 +158,13 @@ def sweep_counts(g) -> dict:
     return row
 
 
-def verdict_operations(g) -> dict:
+def verdict_operations(g, name: str) -> dict:
     from vsbgraph import connectivity
 
     return {"is_k_vsb": lambda: connectivity.is_k_vsb(g, 3)}
 
 
-def verdict_counts(g) -> dict:
+def verdict_counts(g, name: str) -> dict:
     """The witness, the counted table visits and _disjoint_paths calls and
     the tracemalloc peak of one is_k_vsb(g, 3); the wrappers stay."""
     from vsbgraph import connectivity
@@ -178,6 +185,36 @@ def verdict_counts(g) -> dict:
             "tracemalloc_peak_kb": round(peak / 1024, 1)}
 
 
+def ingest_text(g, name: str) -> str:
+    """g's edge-list text; the ``_commented`` instance gets a comment
+    line before every 100th line."""
+    from vsbgraph import serialize_edge_list
+
+    lines = serialize_edge_list(g).splitlines(keepends=True)
+    if name.endswith("_commented"):
+        lines = [("# comment\n" if i % 100 == 0 else "") + line
+                 for i, line in enumerate(lines)]
+    return "".join(lines)
+
+
+def ingest_operations(g, name: str) -> dict:
+    from vsbgraph import Digraph, parse_edge_list
+
+    text, edges = ingest_text(g, name), g.edges()
+    return {"parse_edge_list": lambda: parse_edge_list(text),
+            "Digraph": lambda: Digraph(g.n, edges),
+            "copy": g.copy}
+
+
+def ingest_counts(g, name: str) -> dict:
+    """Digests of the text and of the graph parsed from it."""
+    from vsbgraph import parse_edge_list, serialize_edge_list
+
+    text = ingest_text(g, name)
+    return {"text": sha(text),
+            "parsed": sha(serialize_edge_list(parse_edge_list(text)))}
+
+
 # per suite: instances, timed operations, counts, compared fields
 SUITES = {
     "sweep": ([*THIN, "generated_n100", "generated_n400", "generated_n1000",
@@ -191,6 +228,8 @@ SUITES = {
                  "check_n50", "generated_n200", "generated_n1000"],
                 verdict_operations, verdict_counts,
                 ["witness", "table_visits", "disjoint_paths_calls"]),
+    "ingest": (["check_n50", "check_n50_commented", "generated_n1000"],
+               ingest_operations, ingest_counts, ["text", "parsed"]),
 }
 
 
@@ -212,9 +251,9 @@ def measure(suite: str, name: str, counted: bool) -> dict:
     g = build(name)
     row: dict = {"n": g.n, "m": g.m, "instance": sha(serialize_edge_list(g))}
     if counted:
-        return {**row, **counts(g)}
+        return {**row, **counts(g, name)}
     row["cpu_ms"] = {}
-    for label, fn in operations(g).items():
+    for label, fn in operations(g, name).items():
         times = [cpu_ms(fn)]
         repeat = min(50, int(INNER_S * 1000 / max(times[0], 1e-3)))
         times += [cpu_ms(fn) for _ in range(repeat)]
