@@ -67,8 +67,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from .connectivity import (
     _check_level,
     _degree_gated,
@@ -79,6 +77,7 @@ from .connectivity import (
 )
 from .digraph import Digraph
 from .errors import NotKVsbError
+from .generator import _rng
 
 Edge = tuple[int, int]
 
@@ -132,7 +131,7 @@ def _ordered_candidates(
     if order == "shuffle":
         if seed is None:
             raise ValueError("order='shuffle' requires a seed")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         return [edges[i] for i in rng.permutation(len(edges))]
     raise ValueError(f"unknown edge order policy: {order!r}")
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .connectivity import _degree_gated, is_k_vsb
 from .digraph import Digraph
@@ -34,6 +32,9 @@ from .errors import (
     TooLargeError,
     TooManyEdgesError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest n an InstanceSpec accepts: sampling and growth each build a
 # list of all n(n-1) arc indices, about a million entries at this limit.
@@ -89,6 +90,15 @@ def _arc_pair(index: int, n: int) -> tuple[int, int]:
     return u, r if r < u else r + 1
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator seeded with ``seed``.  numpy is imported
+    here, at the first draw, so that importing the package (and every
+    CLI command that draws nothing) does not load it."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 def _draw(pool: list[int], rng: np.random.Generator) -> Iterator[int]:
     """Items of pool in uniformly random order, drawn lazily: a partial
     Fisher-Yates shuffle that makes one ``rng.integers`` call per item."""
@@ -100,7 +110,7 @@ def _draw(pool: list[int], rng: np.random.Generator) -> Iterator[int]:
 
 def random_digraph(spec: InstanceSpec) -> Digraph:
     """Uniform simple digraph with exactly ``spec.initial_edges`` arcs."""
-    rng = np.random.default_rng(spec.seed)
+    rng = _rng(spec.seed)
     n = spec.n
     picks = islice(_draw(list(range(n * (n - 1))), rng), spec.initial_edges)
     return Digraph(n, [_arc_pair(i, n) for i in picks])
@@ -125,7 +135,7 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     for u, v in work.edges():
         present[u * (n - 1) + (v if v < u else v - 1)] = 1
     absent = [i for i, here in enumerate(present) if not here]
-    arcs = (_arc_pair(i, n) for i in _draw(absent, np.random.default_rng(seed)))
+    arcs = (_arc_pair(i, n) for i in _draw(absent, _rng(seed)))
     for added in _degree_gated(work, arcs, 3):
         if is_k_vsb(work, 3).verdict:
             return GeneratedInstance(spec, work, added)

@@ -21,7 +21,6 @@ import gc
 import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .digraph import Digraph
@@ -147,6 +146,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ExperimentRow
     workers = _pool_size(workers, len(tasks))
     if workers <= 1:
         return [_run_row(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_row, tasks))
 

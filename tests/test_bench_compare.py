@@ -1,5 +1,5 @@
-"""tools/bench_compare.py: the counts its counting process reports, and
-its usage errors.  Each run is a subprocess, as in the tool: the
+"""tools/bench_compare.py: the counts its counting process reports, the
+startup suite's child timing, and its usage errors.  Each run is a subprocess, as in the tool: the
 counting run leaves Digraph and connectivity names wrapped for the rest
 of its process."""
 import json
@@ -45,6 +45,18 @@ def test_ingest_counts_on_commented_check_n50():
     row = counted("ingest", "check_n50_commented")
     assert (row["n"], row["m"]) == (50, 800)
     assert row["parsed"] == row["instance"] != row["text"]
+
+
+def test_startup_runs_the_cli_in_a_child():
+    row = counted("startup", "check_n50")
+    assert (row["n"], row["m"]) == (50, 800)
+    assert (row["stdout"], row["returncode"]) == ("true\n", 0)
+    done = run("startup", "--measure", "import_vsbgraph")
+    assert done.returncode == 0, done.stderr
+    times = json.loads(done.stdout)
+    # a child's CPU time is counted, not the timing process's own
+    assert set(times) == {"cpu_ms", "wall_ms"}
+    assert times["cpu_ms"]["process"] > 0 and times["wall_ms"]["process"] > 0
 
 
 def test_repeat_below_one_is_a_usage_error():

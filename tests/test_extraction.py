@@ -17,6 +17,7 @@ from vsbgraph import (
 )
 
 from vsbgraph import extraction
+from vsbgraph.cli import main
 from vsbgraph.connectivity import (
     _degree_gated,
     _stays_k_vsb,
@@ -414,7 +415,8 @@ OUTPUT_DIGESTS = [
     OUTPUT_DIGESTS,
     ids=["-".join(map(str, row[:6])) for row in OUTPUT_DIGESTS],
 )
-def test_output_digest(name, algo, order, seed, per_candidate, digest, full, flow):
+def test_output_digest(name, algo, order, seed, per_candidate, digest, full, flow,
+                       tmp_path, capsys):
     g = named_graph(name)
     if algo == "two-phase":
         result = two_phase_3vsb(g, order, seed)
@@ -424,3 +426,14 @@ def test_output_digest(name, algo, order, seed, per_candidate, digest, full, flo
     assert result.stats.tests_performed == full + flow
     assert result.stats.tests_performed < per_candidate
     assert output_digest(result) == digest
+    if algo in ("minimal-3", "two-phase"):
+        # `minimize` writes the same subgraph and reports the same counts
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(serialize_edge_list(g), encoding="ascii")
+        args = ["minimize", "--in", str(src), "--out", str(out), "--order", order,
+                "--algo", "minimal" if algo == "minimal-3" else algo]
+        assert main(args + ([] if seed is None else ["--seed", str(seed)])) == 0
+        assert out.read_text(encoding="ascii") == serialize_edge_list(result.subgraph)
+        assert capsys.readouterr().out.startswith(
+            f"edges_in={g.m} edges_out={result.subgraph.m} "
+            f"tests_performed={full + flow} full_tests={full} flow_tests={flow} ")

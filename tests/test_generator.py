@@ -17,6 +17,7 @@ from vsbgraph import (
     random_digraph,
     serialize_edge_list,
 )
+from vsbgraph.cli import main
 from vsbgraph.connectivity import _degree_gated
 
 from graphutil import complete_bidirected
@@ -172,11 +173,18 @@ INSTANCE_DIGESTS = [
 
 
 @pytest.mark.parametrize("n,m0,seed,grown,digest", INSTANCE_DIGESTS)
-def test_instance_digest(n, m0, seed, grown, digest):
+def test_instance_digest(n, m0, seed, grown, digest, tmp_path, capsys):
     instance = generate(InstanceSpec(n, m0, seed))
     text = serialize_edge_list(instance.graph).encode("ascii")
     assert instance.edges_added_in_growth == grown
     assert hashlib.sha256(text).hexdigest() == digest
+    # `gen` writes the same bytes (every m0 here is a multiple of n)
+    out = tmp_path / "gen.txt"
+    assert main(["gen", "--n", str(n), "--seed", str(seed),
+                 "--mult", str(m0 // n), "--out", str(out)]) == 0
+    assert out.read_bytes() == text
+    assert capsys.readouterr().out == (
+        f"n={n} m0={m0} grown={grown} m={instance.graph.m}\n")
 
 
 class TestDegreeGate:

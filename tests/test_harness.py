@@ -1,4 +1,6 @@
 """Experiment harness: plans, rows, table rendering, duration format."""
+import concurrent.futures
+
 import pytest
 
 from vsbgraph import (
@@ -175,7 +177,8 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-row plan must not start a pool")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        # run_experiment imports the pool class only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         plan = ExperimentPlan(sizes=(10,), seeds_per_size=1)
         assert len(run_experiment(plan, workers=10**9)) == 1
 

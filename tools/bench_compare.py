@@ -1,4 +1,5 @@
-"""Before/after cost of the greedy sweeps, of ``is_k_vsb`` or of file ingest.
+"""Before/after cost of the greedy sweeps, of ``is_k_vsb``, of file ingest
+or of a fresh CLI process.
 
     python3 tools/bench_compare.py SUITE --base REV --out FILE [--repeat R]
 
@@ -43,16 +44,28 @@ SHA-256 digests of the text and of ``serialize_edge_list`` of the parsed
 graph.  Instances: the perfbench ``check`` instance, the same text with
 a comment line before every 100th line, and ``generate(InstanceSpec(
 1000, seed=1))``.  R=5 takes about a minute.
+
+``startup`` times whole fresh processes instead: each timed process
+starts one child, ``python -m vsbgraph check --k 3`` on the instance's
+edge-list file, or ``python -c "import vsbgraph"`` for the instance
+``import_vsbgraph``, and records the child's CPU time (user plus system,
+``cpu_ms``) and its wall time (``wall_ms``); it compares the child's
+stdout and exit code.  Instances: ``import_vsbgraph``, the perfbench
+``check`` instance and ``generate(InstanceSpec(1000, seed=1))``.  One
+child's CPU time spreads by tens of ms from run to run, so take R=15;
+that takes about two minutes.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import hashlib
 import inspect
 import json
 import os
 import platform
+import resource
 import shlex
 import statistics
 import subprocess
@@ -64,6 +77,7 @@ import tracemalloc
 from functools import reduce
 from io import BytesIO
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 INNER_S = 0.2  # CPU seconds a timed process aims to spend per operation
@@ -72,7 +86,10 @@ EXTRACTORS = ("minimal", "two_phase")
 
 
 def build(name: str):
-    """The instance called ``name``, from the vsbgraph on sys.path."""
+    """The instance called ``name``, from the vsbgraph on sys.path; None
+    for ``import_vsbgraph``, which has no graph."""
+    if name == "import_vsbgraph":
+        return None
     from vsbgraph import Digraph, InstanceSpec, generate, is_k_vsb, random_digraph
 
     if name == "block_ring_67":
@@ -215,22 +232,31 @@ def ingest_counts(g, name: str) -> dict:
             "parsed": sha(serialize_edge_list(parse_edge_list(text)))}
 
 
-# per suite: instances, timed operations, counts, compared fields
-SUITES = {
-    "sweep": ([*THIN, "generated_n100", "generated_n400", "generated_n1000",
-               "block_ring_67"],
-              sweep_operations, sweep_counts,
-              [f"{label}.{key}" for label in EXTRACTORS
-               for key in ("digest", "removed", "full_tests", "flow_tests")]),
-    "verdict": (["near_miss_n50", "near_miss_n100", "near_miss_n200",
-                 "near_miss_n400", "directed_cycle_n1000", "bidirected_cycle_n1000",
-                 "directed_square_cycle_n1000", "bidirected_path_n1000",
-                 "check_n50", "generated_n200", "generated_n1000"],
-                verdict_operations, verdict_counts,
-                ["witness", "table_visits", "disjoint_paths_calls"]),
-    "ingest": (["check_n50", "check_n50_commented", "generated_n1000"],
-               ingest_operations, ingest_counts, ["text", "parsed"]),
-}
+def startup_process(g, name: str) -> Callable[[], subprocess.CompletedProcess]:
+    """The fresh process the startup suite times, as a function that runs
+    it once: ``import vsbgraph``, or ``check --k 3`` on g's edge-list file
+    (a temporary file, deleted when this process exits)."""
+    command = [sys.executable, "-c", "import vsbgraph"]
+    if g is not None:
+        from vsbgraph import serialize_edge_list
+
+        handle, path = tempfile.mkstemp(prefix=f"{name}_", suffix=".txt")
+        atexit.register(os.unlink, path)
+        with os.fdopen(handle, "w", encoding="ascii") as file:
+            file.write(serialize_edge_list(g))
+        command = [sys.executable, "-m", "vsbgraph", "check", "--k", "3",
+                   "--in", path]
+    return lambda: subprocess.run(command, capture_output=True, text=True)
+
+
+def startup_operations(g, name: str) -> dict:
+    return {"process": startup_process(g, name)}
+
+
+def startup_counts(g, name: str) -> dict:
+    """The child's stdout and exit code."""
+    done = startup_process(g, name)()
+    return {"stdout": done.stdout, "returncode": done.returncode}
 
 
 def cpu_ms(fn) -> float:
@@ -243,21 +269,70 @@ def cpu_ms(fn) -> float:
         gc.enable()
 
 
+def in_process_ms(fn) -> dict:
+    """``cpu_ms``: the median CPU time of a first call and as many more as
+    fit in INNER_S, at most 50."""
+    times = [cpu_ms(fn)]
+    repeat = min(50, int(INNER_S * 1000 / max(times[0], 1e-3)))
+    times += [cpu_ms(fn) for _ in range(repeat)]
+    return {"cpu_ms": statistics.median(times)}
+
+
+def child_ms(fn) -> dict:
+    """``cpu_ms`` and ``wall_ms`` of one call of fn, which runs a child
+    process: the CPU time is the child's, user plus system."""
+    def child_cpu_s() -> float:
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    cpu, wall = child_cpu_s(), time.perf_counter()
+    fn()
+    wall = time.perf_counter() - wall
+    return {"cpu_ms": (child_cpu_s() - cpu) * 1000, "wall_ms": wall * 1000}
+
+
+class Suite(NamedTuple):
+    instances: list[str]
+    operations: Callable  # (g, name) -> {label: function to time}
+    counts: Callable  # (g, name) -> the counting process's fields
+    compared: list[str]  # fields whose sides must agree
+    timer: Callable = in_process_ms  # function -> {metric: ms}
+
+
+SUITES = {
+    "sweep": Suite([*THIN, "generated_n100", "generated_n400", "generated_n1000",
+                    "block_ring_67"],
+                   sweep_operations, sweep_counts,
+                   [f"{label}.{key}" for label in EXTRACTORS
+                    for key in ("digest", "removed", "full_tests", "flow_tests")]),
+    "verdict": Suite(["near_miss_n50", "near_miss_n100", "near_miss_n200",
+                      "near_miss_n400", "directed_cycle_n1000",
+                      "bidirected_cycle_n1000", "directed_square_cycle_n1000",
+                      "bidirected_path_n1000", "check_n50", "generated_n200",
+                      "generated_n1000"],
+                     verdict_operations, verdict_counts,
+                     ["witness", "table_visits", "disjoint_paths_calls"]),
+    "ingest": Suite(["check_n50", "check_n50_commented", "generated_n1000"],
+                    ingest_operations, ingest_counts, ["text", "parsed"]),
+    "startup": Suite(["import_vsbgraph", "check_n50", "generated_n1000"],
+                     startup_operations, startup_counts,
+                     ["stdout", "returncode"], child_ms),
+}
+
+
 def measure(suite: str, name: str, counted: bool) -> dict:
     """Time each operation of the suite on one instance, or count it."""
     from vsbgraph import serialize_edge_list
 
-    _, operations, counts, _ = SUITES[suite]
+    spec = SUITES[suite]
     g = build(name)
-    row: dict = {"n": g.n, "m": g.m, "instance": sha(serialize_edge_list(g))}
+    row: dict = {} if g is None else {
+        "n": g.n, "m": g.m, "instance": sha(serialize_edge_list(g))}
     if counted:
-        return {**row, **counts(g, name)}
-    row["cpu_ms"] = {}
-    for label, fn in operations(g, name).items():
-        times = [cpu_ms(fn)]
-        repeat = min(50, int(INNER_S * 1000 / max(times[0], 1e-3)))
-        times += [cpu_ms(fn) for _ in range(repeat)]
-        row["cpu_ms"][label] = statistics.median(times)
+        return {**row, **spec.counts(g, name)}
+    for label, fn in spec.operations(g, name).items():
+        for metric, ms in spec.timer(fn).items():
+            row.setdefault(metric, {})[label] = ms
     return row
 
 
@@ -279,13 +354,14 @@ def compare(suite: str, sides: dict[str, Path], name: str, repeat: int) -> dict:
     row = {}
     for side, runs in timed.items():
         entry = run_side(suite, sides[side], name, True)
-        if {run["instance"] for run in runs} != {entry["instance"]}:
+        if {run.get("instance") for run in runs} != {entry.get("instance")}:
             raise SystemExit(f"{name}: {side} built different instances")
-        for label in runs[0]["cpu_ms"]:
-            times = [run["cpu_ms"][label] for run in runs]
-            part = entry.setdefault(label, {})
-            part["cpu_ms"] = round(statistics.median(times), 3)
-            part["cpu_ms_runs"] = [round(t, 3) for t in times]
+        for metric in ("cpu_ms", "wall_ms"):
+            for label in runs[0].get(metric, ()):
+                times = [run[metric][label] for run in runs]
+                part = entry.setdefault(label, {})
+                part[metric] = round(statistics.median(times), 3)
+                part[f"{metric}_runs"] = [round(t, 3) for t in times]
         row[side] = entry
     return row
 
@@ -311,7 +387,7 @@ def main() -> int:
         return 0
     if not (args.base and args.out):
         parser.error("--base and --out are required")
-    instances, _, _, compared = SUITES[args.suite]
+    instances, compared = SUITES[args.suite].instances, SUITES[args.suite].compared
     base_rev = git("rev-parse", args.base).decode().strip()
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
