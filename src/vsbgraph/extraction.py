@@ -132,7 +132,7 @@ def _ordered_candidates(
         if seed is None:
             raise ValueError("order='shuffle' requires a seed")
         rng = _rng(seed)
-        return [edges[i] for i in rng.permutation(len(edges))]
+        return [edges[i] for i in rng.permutation(len(edges)).tolist()]
     raise ValueError(f"unknown edge order policy: {order!r}")
 
 

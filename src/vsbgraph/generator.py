@@ -16,10 +16,16 @@ Arcs are addressed through the bijection between [0, n(n-1)) and
 ordered pairs (u, v), v skipping u; sampling without replacement, of
 the initial arcs and of the grown ones, is a lazy partial Fisher-Yates
 shuffle of that index space, which is uniform and needs no rejection
-loop at high densities.
+loop at high densities.  The shuffle runs over a virtual pool that
+stores only the entries its swaps displaced, so no list of n(n-1)
+indices is built: growth shuffles the ranks of the absent indices and
+maps rank p to the p-th absent index by bisection over the present
+ones.  Its swap targets are drawn with one ``rng.integers`` call per
+batch of items, and give the same instance as one call per item.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
@@ -36,9 +42,14 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest n an InstanceSpec accepts: sampling and growth each build a
-# list of all n(n-1) arc indices, about a million entries at this limit.
+# Largest n an InstanceSpec accepts: a dense spec still builds a graph of
+# up to n(n-1) arcs, about a million at this limit.
 MAX_VERTICES = 1_000
+# Most swap targets one numpy call draws: bounds the memory of a batch.
+_MAX_BATCH = 4096
+# Growth's first batch: growth cannot know how many arcs it will add, so
+# its batches start small and double, up to _MAX_BATCH.
+_GROWTH_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -99,20 +110,38 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _draw(pool: list[int], rng: np.random.Generator) -> Iterator[int]:
-    """Items of pool in uniformly random order, drawn lazily: a partial
-    Fisher-Yates shuffle that makes one ``rng.integers`` call per item."""
-    for i in range(len(pool)):
-        j = int(rng.integers(i, len(pool)))
-        pool[i], pool[j] = pool[j], pool[i]
-        yield pool[i]
+def _draw(size: int, rng: np.random.Generator, batch: int) -> Iterator[int]:
+    """The numbers in [0, size) in uniformly random order, drawn lazily: a
+    partial Fisher-Yates shuffle of a virtual pool whose position p holds p
+    until a swap moves another number there (``displaced``).
+
+    The swap targets come from one ``rng.integers`` call per batch: the
+    first ``batch`` of them, each later batch twice as large, up to
+    ``_MAX_BATCH``.  A call with the array of lower bounds i, i+1, ...
+    draws the same numbers as one ``rng.integers(i, size)`` call per item
+    (numpy makes the same bounded draw per element on both paths), so
+    the order depends only on the seed, not on the batch sizes; draws
+    past the last item the caller takes change nothing, since every
+    generator belongs to one call.
+    """
+    import numpy as np
+
+    displaced: dict[int, int] = {}
+    i, batch = 0, min(max(batch, 1), _MAX_BATCH)
+    while i < size:
+        for j in rng.integers(np.arange(i, min(size, i + batch)), size).tolist():
+            here = displaced.pop(i, i)
+            if j != i:
+                here, displaced[j] = displaced.get(j, j), here
+            yield here
+            i += 1
+        batch = min(2 * batch, _MAX_BATCH)
 
 
 def random_digraph(spec: InstanceSpec) -> Digraph:
     """Uniform simple digraph with exactly ``spec.initial_edges`` arcs."""
-    rng = _rng(spec.seed)
-    n = spec.n
-    picks = islice(_draw(list(range(n * (n - 1))), rng), spec.initial_edges)
+    n, count = spec.n, spec.initial_edges
+    picks = islice(_draw(n * (n - 1), _rng(spec.seed), count), count)
     return Digraph(n, [_arc_pair(i, n) for i in picks])
 
 
@@ -130,12 +159,15 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     spec = InstanceSpec(g.n, g.m, seed)
     work = g.copy()
     n = work.n
-    # the inverse of _arc_pair marks the present arcs' indices
-    present = bytearray(n * (n - 1))
-    for u, v in work.edges():
-        present[u * (n - 1) + (v if v < u else v - 1)] = 1
-    absent = [i for i, here in enumerate(present) if not here]
-    arcs = (_arc_pair(i, n) for i in _draw(absent, _rng(seed)))
+    # gaps[j] is the number of absent arc indices below the j-th present
+    # one (in index order, the inverse of _arc_pair), so the p-th absent
+    # index is p plus the number of gaps at most p
+    gaps: list[int] = []
+    for u, out in enumerate(work._out):
+        for v in sorted(out):
+            gaps.append(u * (n - 1) + (v if v < u else v - 1) - len(gaps))
+    drawn = _draw(n * (n - 1) - len(gaps), _rng(seed), _GROWTH_BATCH)
+    arcs = (_arc_pair(p + bisect_right(gaps, p), n) for p in drawn)
     for added in _degree_gated(work, arcs, 3):
         if is_k_vsb(work, 3).verdict:
             return GeneratedInstance(spec, work, added)

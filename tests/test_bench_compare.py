@@ -47,6 +47,16 @@ def test_ingest_counts_on_commented_check_n50():
     assert row["parsed"] == row["instance"] != row["text"]
 
 
+def test_generate_counts_on_grow_0():
+    # the sample is the first 48 arcs of the grown instance
+    row = counted("generate", "grow_0")
+    assert (row["n"], row["m"], row["edges_added_in_growth"]) == (12, 64, 16)
+    assert row["sample"] == (
+        "3ea45c50cd3a4ab4e4a8ff1c796964a87773b1a89e082a53a5498a0b283f9cef")
+    assert 0 < row["random_digraph_tracemalloc_peak_kb"] < row[
+        "generate_tracemalloc_peak_kb"]
+
+
 def test_startup_runs_the_cli_in_a_child():
     row = counted("startup", "check_n50")
     assert (row["n"], row["m"]) == (50, 800)

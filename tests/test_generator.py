@@ -1,8 +1,13 @@
 """Instance generation: uniform sampling, seeded determinism, growth."""
 import hashlib
 import random
+import tracemalloc
+from itertools import islice
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsbgraph import (
     Digraph,
@@ -22,6 +27,11 @@ from vsbgraph.connectivity import _degree_gated
 
 from graphutil import complete_bidirected
 from oracle import oracle_k_vsb
+from reference_generate import (
+    reference_draw,
+    reference_grow_until_3vsb,
+    reference_random_digraph,
+)
 from reference_walk import below_bound, below_degree_bound
 
 
@@ -51,7 +61,8 @@ class TestInstanceSpec:
             InstanceSpec(8, 64, seed=1)
 
     def test_vertex_limit(self, monkeypatch):
-        # a small limit keeps a regression from allocating n(n-1)-entry lists
+        # a small limit stands in for 1,000, above which a dense spec would
+        # build too many of the n(n-1) arcs
         monkeypatch.setattr(generator, "MAX_VERTICES", 9)
         assert InstanceSpec(9, seed=1).n == 9
         with pytest.raises(TooLargeError):
@@ -153,7 +164,8 @@ class TestGenerate:
 # SHA-256 of serialize_edge_list(graph) and the growth count, recorded
 # from the generator that ran the full 3-vsb test after every insertion
 # (the n=100 row: from the degree-gated loop with the enumeration form of
-# is_k_vsb); the degree-gated loop on the Menger-form verdict must
+# is_k_vsb; the n=1,000 row: from the shuffle of real index lists with one
+# draw per item); the degree-gated loop on the Menger-form verdict must
 # reproduce them byte for byte.
 INSTANCE_DIGESTS = [
     (12, 48, 100001, 28, "5ae9465dbb3bc24171e2c660d93939e2dafe8d150740d2438654748d05edb762"),
@@ -169,6 +181,7 @@ INSTANCE_DIGESTS = [
     (10, 0, 1, 48, "261779c6b6532c81bec9269ef9e9192c79780093a413dd75ff5d32d0ac527cef"),
     (12, 0, 5, 71, "d99cdc24723a61039187b913b02ee664e6da067de6934bf40f219e45557cf13c"),
     (100, 800, 1, 800, "0929c7a3c6e42fe31413a81f403c866a3ce73ed7954d0ea069680948e40265d4"),
+    (1000, 8000, 1, 9842, "06372be3a2653272d97bd4bff223d91ea187d8d91504e2a43f6648f65666c211"),
 ]
 
 
@@ -185,6 +198,64 @@ def test_instance_digest(n, m0, seed, grown, digest, tmp_path, capsys):
     assert out.read_bytes() == text
     assert capsys.readouterr().out == (
         f"n={n} m0={m0} grown={grown} m={instance.graph.m}\n")
+
+
+def batch_ends(first: int, size: int) -> list[int]:
+    """Where _draw's batches end in a pool of ``size``, as its docstring
+    states them: ``first`` items, then twice as many each time, up to
+    generator._MAX_BATCH."""
+    batch, ends = min(max(first, 1), generator._MAX_BATCH), [0]
+    while ends[-1] < size:
+        ends.append(min(size, ends[-1] + batch))
+        batch = min(2 * batch, generator._MAX_BATCH)
+    return ends
+
+
+class TestVirtualPool:
+    """The virtual pool with batched draws against the shuffle of real
+    lists with one draw per item (tests/reference_generate.py).  Small
+    batch caps put many batch boundaries inside small pools."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3000), st.integers(0, 300), st.sampled_from([1, 2, 3, 7, 4096]),
+           st.integers(0, 2**63 - 1), st.data())
+    def test_draw_matches_reference(self, size, first, cap, seed, data):
+        with patch.object(generator, "_MAX_BATCH", cap):
+            ends = batch_ends(first, size)
+            # a draw count at or next to a batch boundary, or all of them
+            count = data.draw(st.one_of(
+                st.sampled_from(ends).flatmap(lambda end: st.sampled_from(
+                    [c for c in (end - 1, end, end + 1) if 0 <= c <= size])),
+                st.just(size)))
+            drawn = list(islice(generator._draw(size, generator._rng(seed), first), count))
+        expected = list(islice(reference_draw(list(range(size)), generator._rng(seed)), count))
+        assert drawn == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(4, 40).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(0, n * (n - 1)))),
+           st.integers(0, 2**63 - 1), st.sampled_from([1, 3, 64, 4096]))
+    def test_instances_match_reference(self, n_m0, seed, cap):
+        spec = InstanceSpec(*n_m0, seed)
+        with patch.object(generator, "_MAX_BATCH", cap):
+            sample = random_digraph(spec)
+            grown = grow_until_3vsb(sample, seed)
+        expected = reference_random_digraph(spec)
+        assert sample.edges() == expected.edges()
+        reference = reference_grow_until_3vsb(expected, seed)
+        assert grown.graph.edges() == reference.graph.edges()
+        assert grown.edges_added_in_growth == reference.edges_added_in_growth
+
+    def test_generate_peak_memory(self):
+        # a list of all n(n-1) arc indices alone takes about 36 MB at n=1,000
+        generate(InstanceSpec(12, 48, 1))  # numpy's import is not counted
+        tracemalloc.start()
+        try:
+            generate(InstanceSpec(1000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestDegreeGate:

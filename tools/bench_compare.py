@@ -1,5 +1,5 @@
-"""Before/after cost of the greedy sweeps, of ``is_k_vsb``, of file ingest
-or of a fresh CLI process.
+"""Before/after cost of the greedy sweeps, of ``is_k_vsb``, of file ingest,
+of instance generation or of a fresh CLI process.
 
     python3 tools/bench_compare.py SUITE --base REV --out FILE [--repeat R]
 
@@ -45,6 +45,15 @@ graph.  Instances: the perfbench ``check`` instance, the same text with
 a comment line before every 100th line, and ``generate(InstanceSpec(
 1000, seed=1))``.  R=5 takes about a minute.
 
+``generate`` times ``random_digraph(spec)`` and ``generate(spec)``,
+compares the SHA-256 digest of the sample and ``edges_added_in_growth``,
+and records each operation's tracemalloc peak (KB).  Instances: the
+perfbench ``grow`` specs of its first 5 units (n=12, m0=48, seeds from
+100000), the ``check`` instance's spec (50, 800, 100000),
+``InstanceSpec(n, seed=1)`` at n = 100 and 1,000, and the complete
+sample ``InstanceSpec(300, 89700, 2)``, whose arcs fill the whole arc
+space.  R=5 takes about a minute.
+
 ``startup`` times whole fresh processes instead: each timed process
 starts one child, ``python -m vsbgraph check --k 3`` on the instance's
 edge-list file, or ``python -c "import vsbgraph"`` for the instance
@@ -82,6 +91,7 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 INNER_S = 0.2  # CPU seconds a timed process aims to spend per operation
 THIN = tuple(f"thin_{unit}" for unit in range(10))
+GROW = tuple(f"grow_{unit}" for unit in range(5))
 EXTRACTORS = ("minimal", "two_phase")
 
 
@@ -97,8 +107,9 @@ def build(name: str):
         from graphutil import block_ring
 
         return block_ring(67)
-    if name in ("check_n50", "check_n50_commented"):
-        return generate(InstanceSpec(50, 800, 100000)).graph
+    spec = instance_spec(name)
+    if spec is not None:
+        return generate(spec).graph
     if name in THIN:
         seed, found = 100000, -1
         while True:
@@ -108,8 +119,6 @@ def build(name: str):
                     return generate(InstanceSpec(16, 128, seed)).graph
             seed += 1
     n = int(name.rpartition("_n")[2])
-    if name.startswith("generated_"):
-        return generate(InstanceSpec(n, seed=1)).graph
     if name.startswith("near_miss_"):
         g = generate(InstanceSpec(n, 800 if n == 50 else None, 1)).graph
         a, b = sorted(g.in_neighbors(7))[-2:]
@@ -122,6 +131,22 @@ def build(name: str):
         "directed_square_cycle": ring + [(i, (i + 2) % n) for i in range(n)],
         "bidirected_path": path + [(v, u) for u, v in path],
     }[name.rpartition("_n")[0]])
+
+
+def instance_spec(name: str):
+    """The InstanceSpec whose generated graph is the instance ``name``,
+    or None for an instance built otherwise."""
+    from vsbgraph import InstanceSpec
+
+    if name in ("check_n50", "check_n50_commented"):
+        return InstanceSpec(50, 800, 100000)
+    if name in GROW:
+        return InstanceSpec(12, 48, 100000 + GROW.index(name))
+    if name == "complete_n300":
+        return InstanceSpec(300, 89700, 2)
+    if name.startswith("generated_n"):
+        return InstanceSpec(int(name.removeprefix("generated_n")), seed=1)
+    return None
 
 
 def sha(text: str) -> str:
@@ -259,6 +284,32 @@ def startup_counts(g, name: str) -> dict:
     return {"stdout": done.stdout, "returncode": done.returncode}
 
 
+def generate_operations(g, name: str) -> dict:
+    from vsbgraph import generate, random_digraph
+
+    spec = instance_spec(name)
+    return {"random_digraph": lambda: random_digraph(spec),
+            "generate": lambda: generate(spec)}
+
+
+def generate_counts(g, name: str) -> dict:
+    """The sample's digest, the growth count and each operation's
+    tracemalloc peak (KB); building the instance made the allocations
+    that only a process's first draw makes."""
+    from vsbgraph import serialize_edge_list
+
+    row, results = {}, {}
+    for label, fn in generate_operations(g, name).items():
+        tracemalloc.start()
+        results[label] = fn()
+        row[f"{label}_tracemalloc_peak_kb"] = round(
+            tracemalloc.get_traced_memory()[1] / 1024, 1)
+        tracemalloc.stop()
+    return {"sample": sha(serialize_edge_list(results["random_digraph"])),
+            "edges_added_in_growth": results["generate"].edges_added_in_growth,
+            **row}
+
+
 def cpu_ms(fn) -> float:
     gc.disable()
     try:
@@ -314,6 +365,10 @@ SUITES = {
                      ["witness", "table_visits", "disjoint_paths_calls"]),
     "ingest": Suite(["check_n50", "check_n50_commented", "generated_n1000"],
                     ingest_operations, ingest_counts, ["text", "parsed"]),
+    "generate": Suite([*GROW, "check_n50", "generated_n100", "generated_n1000",
+                       "complete_n300"],
+                      generate_operations, generate_counts,
+                      ["sample", "edges_added_in_growth"]),
     "startup": Suite(["import_vsbgraph", "check_n50", "generated_n1000"],
                      startup_operations, startup_counts,
                      ["stdout", "returncode"], child_ms),
