@@ -148,14 +148,7 @@ def _non_negative(what: str):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vsbgraph",
-        description="Test and thin k-vertex strongly biconnected digraphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a random 3-vsb instance")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--n", type=int, required=True, help="vertex count (>= 4)")
     gen.add_argument(
         "--seed",
@@ -170,9 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial edges = mult * n (default: min(8n, n(n-1)))",
     )
     gen.add_argument("--out", required=True, help="output edge-list file")
-    gen.set_defaults(handler=_cmd_gen)
 
-    check = sub.add_parser("check", help="test a connectivity predicate")
+
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("--in", dest="infile", required=True, help="edge-list file")
     check.add_argument(
         "--k",
@@ -181,9 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=3,
         help="level: 1 = strongly biconnected, 2/3 = k-vsb (default 3)",
     )
-    check.set_defaults(handler=_cmd_check)
 
-    minimize = sub.add_parser("minimize", help="extract a sparse 3-vsb subgraph")
+
+def _minimize_arguments(minimize: argparse.ArgumentParser) -> None:
     minimize.add_argument(
         "--in", dest="infile", required=True, help="edge-list file (must be 3-vsb)"
     )
@@ -203,9 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed for --order shuffle",
     )
     minimize.add_argument("--out", required=True, help="output edge-list file")
-    minimize.set_defaults(handler=_cmd_minimize)
 
-    bench = sub.add_parser("bench", help="run the timing/edge-count experiment")
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument(
         "--sizes", type=_sizes_arg, required=True, help="comma-separated n values"
     )
@@ -224,12 +217,49 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="row-level parallelism; timings stay comparable per row",
     )
-    bench.set_defaults(handler=_cmd_bench)
+
+
+# each command's help line, the function that adds its arguments, and its
+# handler
+_COMMANDS = {
+    "gen": ("generate a random 3-vsb instance", _gen_arguments, _cmd_gen),
+    "check": ("test a connectivity predicate", _check_arguments, _cmd_check),
+    "minimize": (
+        "extract a sparse 3-vsb subgraph", _minimize_arguments, _cmd_minimize
+    ),
+    "bench": (
+        "run the timing/edge-count experiment", _bench_arguments, _cmd_bench
+    ),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``, or of any command line if argv is None.
+
+    Every command gets its subparser, so the top-level help lists them
+    all, but for a given argv only the command named by its first token
+    that is a command name gets its arguments.  That token is the one
+    argparse dispatches on, since the top-level parser has no option that
+    takes a value, so the other commands' arguments are never read.
+    """
+    parser = argparse.ArgumentParser(
+        prog="vsbgraph",
+        description="Test and thin k-vertex strongly biconnected digraphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if a in _COMMANDS), None)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        if argv is None or name == named:
+            add_arguments(command)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help

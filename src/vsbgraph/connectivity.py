@@ -20,7 +20,9 @@ deleted-vertex set that breaks strong biconnectivity.
 when its directed vertex connectivity is at least k and, unless g has
 only k+1 vertices, that of its undirected view at least k+1.  Both
 bounds are checked by Even's test, on one primitive that counts
-vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`).
+vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`);
+a count that keeps no paths first takes the direct arcs and the two-arc
+paths into its target, and most counts need no search after them.
 The witness of a false verdict is searched among deletion sets, each
 prefix and each leaf decided by the same test; these tests share one
 table of Even's counts on g itself (:class:`_Table`), and each visits
@@ -468,6 +470,17 @@ def _disjoint_paths(
     continues from them (Ford-Fulkerson from a feasible flow reaches the
     same value), at one search per path added.
 
+    A call with no ``pred`` dict takes two-arc paths between the direct
+    arcs and the searches: for each free, unblocked predecessor y of t,
+    the first free, unblocked start s (not t) that precedes y gives the
+    path s -> y -> t.  Most counts of Even's test end there, with no
+    search set up.  Any set of disjoint paths is a feasible flow, so the
+    searches that follow reach the same capped count.  The paths may
+    differ, though, and :class:`_Table`, which passes ``pred``, lists
+    each fan under the vertices of its kept paths and picks its visits
+    from them; so calls with ``pred`` skip the pass, and the paths they
+    keep are those of the searches alone.
+
     The queue holds entries only, and each search stops at the first
     start it reaches.  An exit is entered from one entry alone: its
     vertex's own if the vertex is free, else that of the vertex after it
@@ -482,6 +495,7 @@ def _disjoint_paths(
     """
     # pred[v]: _SOURCE if v starts a path, else the vertex before v on
     # it; succ[v]: the vertex after v; vertices off every path are absent
+    two_arc = pred is None
     if pred is None:
         pred = {}
     succ: dict[int, int] = {}
@@ -501,6 +515,27 @@ def _disjoint_paths(
                 pred[y] = _SOURCE
                 succ[y] = t
                 count += 1
+    if two_arc:
+        # paths s -> y -> t through each predecessor y of t on no path
+        # yet; such a y is no start, or the direct arcs would have taken it
+        for adj in reverse:
+            for y in adj[t]:
+                if count >= need:
+                    return count
+                if y in pred or y in blocked:
+                    continue
+                for before in reverse:
+                    for s in before[y]:
+                        if s in starts and s != t and not (s in pred or s in blocked):
+                            pred[s], pred[y] = _SOURCE, s
+                            succ[s], succ[y] = y, t
+                            count += 1
+                            break
+                    else:
+                        continue
+                    break
+        if count >= need:
+            return count
     sink = 2 * t
     # v's entry is entered from v's own exit, read first and only if v
     # carries a path (a free v's own exit leads back to v's entry), and

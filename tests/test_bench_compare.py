@@ -40,6 +40,14 @@ def test_verdict_counts_on_check_n50():
         "None", 0, 152)
 
 
+def test_verdict_counts_on_minimal_output_n1000():
+    # the test a clean sweep makes of its sparse result D at n=1,000
+    row = counted("verdict", "minimal_output_n1000")
+    assert (row["n"], row["m"]) == (1000, 3238)
+    assert (row["witness"], row["table_visits"], row["disjoint_paths_calls"]) == (
+        "None", 0, 3002)
+
+
 def test_ingest_counts_on_commented_check_n50():
     # the comment lines change the text, not the graph parsed from it
     row = counted("ingest", "check_n50_commented")

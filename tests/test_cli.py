@@ -302,3 +302,42 @@ class TestUsage:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    def test_same_outcome_as_parser_with_every_argument(self, tmp_path, capsys):
+        # main adds arguments only to the command the line names; on each
+        # line below it prints and returns exactly what the parser with
+        # every command's arguments gives
+        k4 = write_graph(tmp_path / "k4.txt", complete_bidirected(4))
+        out = str(tmp_path / "out.txt")
+
+        def with_every_argument(argv):
+            try:
+                args = cli._build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0)
+            return args.handler(args)
+
+        lines = [
+            [], ["-h"], ["--help"],
+            ["gen", "-h"], ["check", "-h"], ["minimize", "-h"], ["bench", "-h"],
+            ["check", "--in", k4], ["--", "check", "--in", k4],
+            ["check", "--in", k4, "extra"], ["check", "--in", k4, "gen"],
+            ["check", "--in", k4, "--k", "4"], ["check"],
+            ["gen", "--n", "x", "--seed", "1", "--out", out],
+            ["gen", "--n", "5", "--seed", "1", "--out", out],
+            ["gen", "--n", "5", "--seed", "1", "--out", out, "check"],
+            ["minimize", "--in", k4, "--algo", "greedy", "--out", out],
+            ["bench", "--sizes", "x"], ["-x", "check", "--in", k4],
+            ["frobnicate"], ["frobnicate", "check"], ["che", "--in", k4],
+        ]
+        for argv in lines:
+            code = main(argv)
+            got = code, capsys.readouterr()
+            want = with_every_argument(argv), capsys.readouterr()
+            assert got == want, argv
+
+    def test_other_commands_get_no_arguments(self, capsys):
+        # the parser built for a check line does not know gen's options
+        with pytest.raises(SystemExit):
+            cli._build_parser(["check"]).parse_args(["gen", "--n", "5"])
+        assert "unrecognized arguments: --n 5" in capsys.readouterr().err

@@ -5,7 +5,8 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsbgraph import (
     Digraph,
@@ -880,6 +881,67 @@ class TestDisjointPaths:
                 searched += cut > direct
         # the augmenting searches, not the direct arcs, decide many counts
         assert searched > 100
+
+    def test_two_arc_paths_keep_the_count(self):
+        # a call with no pred dict takes paths s -> y -> t after the direct
+        # arcs and before any augmenting search; its count equals the one
+        # with a pred dict, which skips them, and Menger's bound: random
+        # digraphs, the three views, fans and pairs, blocked vertices and
+        # needs 1-5.  Of the counts that reach their cap beyond the direct
+        # arcs, the two-arc paths alone reach it in a large share, with no
+        # search set up (no _Own made)
+        searches = []
+        tally = {"open": 0, "decided": 0}
+
+        class CountedOwn(connectivity._Own):
+            def __init__(self):
+                super().__init__()
+                searches.append(self)
+
+        @settings(max_examples=150, deadline=None)
+        @given(digraphs(min_n=2, max_n=7), st.data())
+        def check(g, data):
+            shift = data.draw(st.integers(1, g.n - 1))
+            drawn = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2))
+            for t in range(g.n):
+                a = (t + shift) % g.n
+                blocked = tuple({b for b in drawn if b != t})
+                check_at(g, t, a, blocked)
+
+        def check_at(g, t, a, blocked):
+            for view, reverse in (
+                ((g._out,), (g._in,)),
+                ((g._in,), (g._out,)),
+                ((g._out, g._in), (g._out, g._in)),
+            ):
+                # a fan, and a pair whose starts are a's out-neighbours, t
+                # among them when the arc (a, t) exists
+                pair = set().union(*(adj[a] for adj in view))
+                for starts, avoid in (
+                    (range(t), blocked),
+                    (pair, tuple(set(blocked) - {a}) + (a,)),
+                ):
+                    cut = fan_cut(g, view, starts, t, avoid)
+                    direct = (t in starts) + len({
+                        y for adj in reverse for y in adj[t]
+                        if y in starts and y not in avoid
+                    })
+                    for need in range(1, 6):
+                        searches.clear()
+                        got = _disjoint_paths(reverse, starts, t, need, avoid)
+                        searched = bool(searches)
+                        kept = _disjoint_paths(reverse, starts, t, need, avoid, {})
+                        assert got == kept == min(need, cut), (
+                            g.edges(), starts, t, need, avoid
+                        )
+                        if direct < need <= cut:
+                            tally["open"] += 1
+                            tally["decided"] += not searched
+
+        with mock.patch.object(connectivity, "_Own", CountedOwn):
+            check()
+        assert tally["open"] >= 50, tally
+        assert tally["decided"] >= 0.6 * tally["open"], tally
 
     @given(digraphs(min_n=2, max_n=7))
     def test_extended_count_matches_fresh_count(self, g):

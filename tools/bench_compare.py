@@ -33,10 +33,12 @@ tracemalloc peak (KB).  Instances: near-miss copies of
 ``generate(InstanceSpec(n, seed=1))`` in which vertex 7 keeps only its
 two highest in-neighbours (n = 50 with 800 initial arcs, as pinned in
 the tests, then n = 100, 200, 400); four sparse false inputs at
-n = 1,000, whose kept paths are few; and three true verdicts: the
-perfbench ``check`` instance ``generate(InstanceSpec(50, 800, 100000))``
-and ``generate(InstanceSpec(n, seed=1))`` at n = 200 and 1,000.  R=1
-takes minutes, mostly in the traced runs of the sparse instances.
+n = 1,000, whose kept paths are few; and four true verdicts: the
+perfbench ``check`` instance ``generate(InstanceSpec(50, 800, 100000))``,
+``generate(InstanceSpec(n, seed=1))`` at n = 200 and 1,000, and the
+sparse output ``minimal_k_vsb(g, 3).subgraph`` of the latter, whose
+test is the one a clean sweep makes of its result.  R=1 takes minutes,
+mostly in the traced runs of the sparse false instances.
 
 ``ingest`` times ``parse_edge_list`` on the instance's edge-list text,
 ``Digraph(n, edges)`` on its edge list and ``g.copy()``, and compares
@@ -100,7 +102,8 @@ def build(name: str):
     for ``import_vsbgraph``, which has no graph."""
     if name == "import_vsbgraph":
         return None
-    from vsbgraph import Digraph, InstanceSpec, generate, is_k_vsb, random_digraph
+    from vsbgraph import (
+        Digraph, InstanceSpec, generate, is_k_vsb, minimal_k_vsb, random_digraph)
 
     if name == "block_ring_67":
         sys.path.insert(0, str(ROOT / "tests"))
@@ -119,6 +122,8 @@ def build(name: str):
                     return generate(InstanceSpec(16, 128, seed)).graph
             seed += 1
     n = int(name.rpartition("_n")[2])
+    if name.startswith("minimal_output_"):
+        return minimal_k_vsb(generate(InstanceSpec(n, seed=1)).graph, 3).subgraph
     if name.startswith("near_miss_"):
         g = generate(InstanceSpec(n, 800 if n == 50 else None, 1)).graph
         a, b = sorted(g.in_neighbors(7))[-2:]
@@ -360,7 +365,7 @@ SUITES = {
                       "near_miss_n400", "directed_cycle_n1000",
                       "bidirected_cycle_n1000", "directed_square_cycle_n1000",
                       "bidirected_path_n1000", "check_n50", "generated_n200",
-                      "generated_n1000"],
+                      "generated_n1000", "minimal_output_n1000"],
                      verdict_operations, verdict_counts,
                      ["witness", "table_visits", "disjoint_paths_calls"]),
     "ingest": Suite(["check_n50", "check_n50_commented", "generated_n1000"],
