@@ -236,23 +236,29 @@ _COMMANDS = {
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser of ``argv``, or of any command line if argv is None.
 
-    Every command gets its subparser, so the top-level help lists them
-    all, but for a given argv only the command named by its first token
-    that is a command name gets its arguments.  That token is the one
-    argparse dispatches on, since the top-level parser has no option that
-    takes a value, so the other commands' arguments are never read.
+    When argv begins with a command name, argparse dispatches on that
+    token, so only that command's subparser is built, and the four names,
+    passed as the subparsers' metavar, keep the top-level usage line as
+    it is.  Any other argv (no command, top-level help, an unknown or
+    misplaced command) gets every subparser and no metavar, which would
+    rename the command argument in error lines, so its help and error
+    lines list every command as before.
     """
     parser = argparse.ArgumentParser(
         prog="vsbgraph",
         description="Test and thin k-vertex strongly biconnected digraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = None if argv is None else next((a for a in argv if a in _COMMANDS), None)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if named is None else "{" + ",".join(_COMMANDS) + "}",
+    )
     for name, (help_line, add_arguments, handler) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
-        if argv is None or name == named:
+        if named in (None, name):
+            command = sub.add_parser(name, help=help_line)
             add_arguments(command)
-        command.set_defaults(handler=handler)
+            command.set_defaults(handler=handler)
     return parser
 
 

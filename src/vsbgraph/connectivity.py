@@ -21,14 +21,17 @@ when its directed vertex connectivity is at least k and, unless g has
 only k+1 vertices, that of its undirected view at least k+1.  Both
 bounds are checked by Even's test, on one primitive that counts
 vertex-disjoint paths by augmenting searches (:func:`_disjoint_paths`);
-a count that keeps no paths first takes the direct arcs and the two-arc
-paths into its target, and most counts need no search after them.
-The witness of a false verdict is searched among deletion sets, each
-prefix and each leaf decided by the same test; these tests share one
-table of Even's counts on g itself (:class:`_Table`), and each visits
-and recounts only the items its deleted vertices can cut
-(:func:`_connectivity_at_least`).  The extractors' local removability test
-(:func:`_stays_k_vsb`) makes at most two counts with the same primitive.
+every count first takes the direct arcs and the two-arc paths into its
+target, and most counts need no search after them.  The witness of a
+false verdict is searched among deletion sets, each prefix and each
+leaf decided by the same test; these tests share one table of Even's
+counts on g itself (:class:`_Table`), and each visits and recounts only
+the items its deleted vertices can cut (:func:`_connectivity_at_least`).
+A count the table makes on g itself keeps one path beyond its level
+when the free passes find it, which is what every later test of a
+residual asks of g, so those tests rarely recount.  The extractors'
+local removability test (:func:`_stays_k_vsb`) makes at most two counts
+with the same primitive.
 """
 from __future__ import annotations
 
@@ -105,16 +108,18 @@ class _Table:
     most ``keep`` times the cap; longer paths, as in sparse graphs, are
     dropped, so the table holds O(cap) vertices per item.
 
-    Each time a fan is counted it is listed in ``on`` under every vertex
-    of its kept paths, or in ``loose`` if its paths were dropped; a fan
-    may be listed twice, or under a vertex its paths have since left.
-    ``settled`` is the highest K at which Even's test on g itself passed
-    with this table, so every fan into t >= settled has a count of at
-    least settled here (0 if none).
+    The fans are indexed at the first :meth:`fans` call, which only a
+    test of a residual makes: each fan counted so far is listed in
+    ``on`` (None until then) under every vertex of its kept paths, or
+    in ``loose`` if its paths were dropped, and from then on each count
+    of a fan lists it again; a fan may be listed twice, or under a
+    vertex its paths have since left.  ``settled`` is the highest K at
+    which Even's test on g itself passed with this table, so every fan
+    into t >= settled has a count of at least settled here (0 if none).
     """
 
     counts: dict[Item, Count] = field(default_factory=dict)
-    on: dict[int, list[Item]] = field(default_factory=dict)
+    on: dict[int, list[Item]] | None = None
     loose: set[Item] = field(default_factory=set)
     settled: int = 0
     keep = 4
@@ -135,7 +140,12 @@ class _Table:
         count yet, or when its count reached its cap and fewer than K of
         its paths avoid the blocked vertices.  A capped count whose paths
         were kept is extended from them: augmenting from a set of disjoint
-        paths (a feasible flow) reaches the same count as from none.
+        paths (a feasible flow) reaches the same count as from none.  A
+        count made for a test of g itself (nothing blocked) also takes one
+        spare path from the free passes of :func:`_disjoint_paths`, which
+        set up no search: every later test of a residual g-P asks for
+        K+|P| paths on g, one more than the test of g, so an item with a
+        spare path is not recounted there unless P cuts its paths.
         """
         found = self.counts.get(item)
         paths: dict[int, int] | None = {}
@@ -148,24 +158,36 @@ class _Table:
         t, _, own = item
         # each path takes a start of its own, so no more can exist
         need = min(K + len(blocked), len(starts))
-        count = _disjoint_paths(reverse, starts, t, need, own, paths)
+        count = _disjoint_paths(
+            reverse, starts, t, need, own, paths, 0 if blocked else 1
+        )
         if len(paths) > self.keep * need:
             paths = None
-        self.counts[item] = count, count == need < len(starts), paths
-        if not own:
-            if paths is None:
-                self.loose.add(item)
-            else:
-                for v in paths:
-                    self.on.setdefault(v, []).append(item)
+        self.counts[item] = count, need <= count < len(starts), paths
+        if not own and self.on is not None:
+            self._list(item, paths)
         return count, _cut(paths, blocked)
+
+    def _list(self, fan: Item, paths: dict[int, int] | None) -> None:
+        """List a fan under each vertex of its kept paths, or as loose."""
+        if paths is None:
+            self.loose.add(fan)
+        else:
+            for v in paths:
+                self.on.setdefault(v, []).append(fan)
 
     def fans(self, first: int, blocked: tuple[int, ...], sides: int) -> list[Item]:
         """The fans that a test at a level K <= settled must visit, in
         Even's order, where ``first`` is its (K+1)-th survivor: those into
         survivors below ``settled``, those listed under a blocked vertex
         and the loose ones, but none into a blocked vertex or below
-        ``first`` (proof in :func:`_connectivity_at_least`)."""
+        ``first`` (proof in :func:`_connectivity_at_least`).  The first
+        call indexes the fans counted so far."""
+        if self.on is None:
+            self.on = {}
+            for item, (_, _, paths) in self.counts.items():
+                if not item[2]:
+                    self._list(item, paths)
         visit = self.loose.union(
             *(self.on.get(v, ()) for v in blocked),
             (
@@ -378,7 +400,9 @@ def _connectivity_at_least(
     the paths were not kept).  The item is recounted with P blocked only
     when K <= c < K+h, so never when c >= K+|P|.  A count on g that is
     missing, or that reached its cap with c-h < K, is made first, capped
-    at K+|P|; c-h < K then means c is below that cap and exact.  Proof:
+    at K+|P| (a count with P empty may take one spare path beyond); any
+    cap of at least K+|P| will do, since c-h < K then means c is below
+    K+|P|, so below the cap, and exact.  Proof:
 
     - The paths an item counts share no vertex but the ends the item
       names (t, and a for a pair), and P contains neither, so each
@@ -453,33 +477,32 @@ def _disjoint_paths(
     need: int,
     blocked: tuple[int, ...],
     pred: dict[int, int] | None = None,
+    spare: int = 0,
 ) -> int:
     """Paths into t, capped at need; ``reverse`` gives each vertex's
     predecessors along the arcs of the view.
 
     Each path starts at a different vertex of starts (a start equal to t
     is a path by itself), the paths share no vertex but t, and none
-    uses a blocked vertex.  Direct arcs from a start into t are taken
-    first; then each augmenting breadth-first search, run backwards from
-    t over the implicit vertex-split graph (node 2v enters v, node 2v+1
-    leaves it, with unit capacity in between), adds one path.  Searching
-    from t touches only the vertices near it, however many starts there
-    are.  A dict passed as ``pred`` is left holding the counted paths;
-    its keys are their vertices other than t.  If it holds the paths of
-    an earlier count with the same arguments but a lower need, the count
-    continues from them (Ford-Fulkerson from a feasible flow reaches the
-    same value), at one search per path added.
+    uses a blocked vertex.  Two free passes come first: the direct arcs
+    from a start into t, then the two-arc paths (for each free,
+    unblocked predecessor y of t, the first free, unblocked start s, not
+    t, that precedes y gives the path s -> y -> t).  Most counts of
+    Even's test end there, with no search set up.  Then each augmenting
+    breadth-first search, run backwards from t over the implicit
+    vertex-split graph (node 2v enters v, node 2v+1 leaves it, with unit
+    capacity in between), adds one path.  Searching from t touches only
+    the vertices near it, however many starts there are.  The free
+    passes take up to ``spare`` paths beyond need, which the caller may
+    keep for a later, higher need; the searches stop at need.
 
-    A call with no ``pred`` dict takes two-arc paths between the direct
-    arcs and the searches: for each free, unblocked predecessor y of t,
-    the first free, unblocked start s (not t) that precedes y gives the
-    path s -> y -> t.  Most counts of Even's test end there, with no
-    search set up.  Any set of disjoint paths is a feasible flow, so the
-    searches that follow reach the same capped count.  The paths may
-    differ, though, and :class:`_Table`, which passes ``pred``, lists
-    each fan under the vertices of its kept paths and picks its visits
-    from them; so calls with ``pred`` skip the pass, and the paths they
-    keep are those of the searches alone.
+    A dict passed as ``pred`` is left holding the counted paths; its
+    keys are their vertices other than t.  If it holds the paths of an
+    earlier count with the same arguments but a lower need, the count
+    continues from them, free passes first.  Any set of disjoint paths
+    is a feasible flow, and Ford-Fulkerson from a feasible flow reaches
+    the same value, so the free passes and the kept paths change which
+    paths are found, never a count below need.
 
     The queue holds entries only, and each search stops at the first
     start it reaches.  An exit is entered from one entry alone: its
@@ -495,7 +518,6 @@ def _disjoint_paths(
     """
     # pred[v]: _SOURCE if v starts a path, else the vertex before v on
     # it; succ[v]: the vertex after v; vertices off every path are absent
-    two_arc = pred is None
     if pred is None:
         pred = {}
     succ: dict[int, int] = {}
@@ -507,35 +529,35 @@ def _disjoint_paths(
         for v in pred:
             if v not in succ:
                 succ[v] = t
+    free = need + spare
     for adj in reverse:
         for y in adj[t]:
-            if count >= need:
+            if count >= free:
                 return count
             if y in starts and y not in pred and y not in blocked:
                 pred[y] = _SOURCE
                 succ[y] = t
                 count += 1
-    if two_arc:
-        # paths s -> y -> t through each predecessor y of t on no path
-        # yet; such a y is no start, or the direct arcs would have taken it
-        for adj in reverse:
-            for y in adj[t]:
-                if count >= need:
-                    return count
-                if y in pred or y in blocked:
+    # paths s -> y -> t through each predecessor y of t on no path yet;
+    # such a y is no start, or the direct arcs would have taken it
+    for adj in reverse:
+        for y in adj[t]:
+            if count >= free:
+                return count
+            if y in pred or y in blocked:
+                continue
+            for before in reverse:
+                for s in before[y]:
+                    if s in starts and s != t and not (s in pred or s in blocked):
+                        pred[s], pred[y] = _SOURCE, s
+                        succ[s], succ[y] = y, t
+                        count += 1
+                        break
+                else:
                     continue
-                for before in reverse:
-                    for s in before[y]:
-                        if s in starts and s != t and not (s in pred or s in blocked):
-                            pred[s], pred[y] = _SOURCE, s
-                            succ[s], succ[y] = y, t
-                            count += 1
-                            break
-                    else:
-                        continue
-                    break
-        if count >= need:
-            return count
+                break
+    if count >= need:
+        return count
     sink = 2 * t
     # v's entry is entered from v's own exit, read first and only if v
     # carries a path (a free v's own exit leads back to v's entry), and

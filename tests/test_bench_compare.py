@@ -1,7 +1,9 @@
 """tools/bench_compare.py: the counts its counting process reports, the
-startup suite's child timing, and its usage errors.  Each run is a subprocess, as in the tool: the
-counting run leaves Digraph and connectivity names wrapped for the rest
-of its process."""
+fields it compares, the startup suite's child timing, and its usage
+errors.  Each run is a subprocess, as in the tool: the counting run
+leaves Digraph and connectivity names wrapped for the rest of its
+process."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,6 +40,19 @@ def test_verdict_counts_on_check_n50():
     assert (row["n"], row["m"]) == (50, 800)
     assert (row["witness"], row["table_visits"], row["disjoint_paths_calls"]) == (
         "None", 0, 152)
+
+
+def test_verdict_gates_on_the_witness_alone():
+    # the table visits and path counts are recorded for each side, but a
+    # change to the witness search moves them on purpose, so only the
+    # instance and the witness must agree
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.SUITES["verdict"].compared == ["witness"]
+    row = counted("verdict", "near_miss_n50")
+    assert row["witness"] == "deleting {45, 48} breaks strong biconnectivity"
+    assert {"table_visits", "disjoint_paths_calls"} <= set(row)
 
 
 def test_verdict_counts_on_minimal_output_n1000():

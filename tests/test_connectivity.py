@@ -565,8 +565,9 @@ def assert_search_agrees(g: Digraph, k: int, tables) -> int:
     """Run is_k_vsb's size tests on g with ``tables`` as it does, then
     every prefix and leaf test of its witness search on the same tables,
     which the passing size test settled; each verdict must be the
-    enumeration's, and the tables' index must hold after them
-    (assert_index_holds).  Returns the witness size."""
+    enumeration's, and each table's index must hold after them
+    (assert_index_holds), whether a prefix test indexed it or not.
+    Returns the witness size."""
     size = next(
         (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
     )
@@ -627,8 +628,12 @@ def recorded_tables(g: Digraph, k: int, base=_Table):
 
 
 def assert_index_holds(table: _Table) -> None:
-    """Every fan with kept paths is listed under each vertex of them,
-    every fan whose paths were dropped is loose, and no pair is listed."""
+    """Before the first _Table.fans call nothing is listed; from then on
+    every fan with kept paths is listed under each vertex of them, every
+    fan whose paths were dropped is loose, and no pair is listed."""
+    if table.on is None:
+        assert not table.loose
+        return
     listed = {v: set(fans) for v, fans in table.on.items()}
     for item, (_, _, paths) in table.counts.items():
         if item[2]:
@@ -660,6 +665,20 @@ def counted_is_k_vsb(monkeypatch, g: Digraph, k: int):
     return is_k_vsb(g, k), len(calls), len(visits)
 
 
+def own_counter():
+    """A stand-in for connectivity._Own that records each instance it
+    makes, one per count that sets up augmenting searches, and that
+    record."""
+    made = []
+
+    class CountedOwn(connectivity._Own):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    return CountedOwn, made
+
+
 def held_paths(reverse, starts, t, blocked, pred) -> int:
     """The number of paths into t that pred holds (plus one for a start
     equal to t), after checking that they run along the view from
@@ -688,7 +707,9 @@ def dequeue_time_paths(reverse, starts, t, need, blocked, pred=None) -> int:
     """_disjoint_paths with the augmenting search it had before it stopped
     at the first start it reaches: this one queues exits as well as
     entries, and tests a start only when it dequeues the exit before it.
-    The reference for the paths that the early stop must find."""
+    The reference for the paths that the early stop must find.  The free
+    passes before the searches are _disjoint_paths's: the direct arcs,
+    then the two-arc paths."""
     source = connectivity._SOURCE
     if pred is None:
         pred = {}
@@ -707,6 +728,19 @@ def dequeue_time_paths(reverse, starts, t, need, blocked, pred=None) -> int:
             if y in starts and y not in pred and y not in blocked:
                 pred[y] = source
                 succ[y] = t
+                count += 1
+    for adj in reverse:
+        for y in adj[t]:
+            if count >= need:
+                return count
+            if y in pred or y in blocked:
+                continue
+            s = next((s for before in reverse for s in before[y]
+                      if s in starts and s != t
+                      and s not in pred and s not in blocked), None)
+            if s is not None:
+                pred[s], pred[y] = source, s
+                succ[s], succ[y] = y, t
                 count += 1
     sink = 2 * t
     while count < need:
@@ -883,20 +917,15 @@ class TestDisjointPaths:
         assert searched > 100
 
     def test_two_arc_paths_keep_the_count(self):
-        # a call with no pred dict takes paths s -> y -> t after the direct
-        # arcs and before any augmenting search; its count equals the one
-        # with a pred dict, which skips them, and Menger's bound: random
+        # a call takes paths s -> y -> t after the direct arcs and before
+        # any augmenting search, with a pred dict or without; its count
+        # equals Menger's bound either way: random
         # digraphs, the three views, fans and pairs, blocked vertices and
         # needs 1-5.  Of the counts that reach their cap beyond the direct
         # arcs, the two-arc paths alone reach it in a large share, with no
         # search set up (no _Own made)
-        searches = []
+        CountedOwn, searches = own_counter()
         tally = {"open": 0, "decided": 0}
-
-        class CountedOwn(connectivity._Own):
-            def __init__(self):
-                super().__init__()
-                searches.append(self)
 
         @settings(max_examples=150, deadline=None)
         @given(digraphs(min_n=2, max_n=7), st.data())
@@ -971,6 +1000,85 @@ class TestDisjointPaths:
                             assert got == fresh, (g.edges(), t, own, cap, more)
                             held = held_paths(reverse, starts, t, own, extended)
                             assert held == got
+
+    def test_table_counts_match_brute_force_cut(self):
+        # every count _Table.count makes on g agrees with Menger's bound
+        # (fan_cut): fresh counts, counts extended from their kept paths
+        # to a higher level, and counts of g itself (nothing blocked),
+        # which take a spare path from the free passes.  Below its cap
+        # K+|P| a count is the bound; at its cap it is at most the bound,
+        # and beyond it by one path at most and only with nothing blocked.
+        # The kept paths are disjoint paths of the item.  A count sets up
+        # an augmenting search (one _Own) exactly when the same count
+        # without a spare path does, and one that takes a spare path sets
+        # up none, so a spare path never comes from a search.  Random
+        # digraphs, pairs and fans in the three views, needs 1-5, with
+        # and without blocked vertices, in either order
+        CountedOwn, searches = own_counter()
+        tally = {"spare": 0, "extended": 0, "blocked": 0}
+
+        def check_count(g, table, item, view, reverse, starts, K, blocked):
+            t, _, own = item
+            found = table.counts.get(item)
+            searches.clear()
+            count, cut = table.count(item, reverse, starts, K, blocked)
+            spent = len(searches)
+            if table.counts.get(item) is found:
+                return  # decided from the count it had
+            count, capped, paths = table.counts[item]
+            need = min(K + len(blocked), len(starts))
+            bound = fan_cut(g, view, starts, t, own)
+            assert count <= bound, item
+            assert count >= min(need, bound), item
+            assert count <= need + (not blocked), item
+            assert count <= need or not spent, item
+            assert capped == (need <= count < len(starts)), item
+            if paths is not None:
+                assert held_paths(reverse, starts, t, own, paths) == count
+            assert cut == connectivity._cut(paths, blocked)
+            pred = dict(found[2] or {}) if found else {}
+            searches.clear()
+            assert _disjoint_paths(reverse, starts, t, need, own, pred) == min(
+                need, bound)
+            assert spent == len(searches), item
+            tally["spare"] += count > need
+            tally["extended"] += found is not None
+            tally["blocked"] += bool(blocked)
+
+        @settings(max_examples=120, deadline=None)
+        @given(digraphs(min_n=2, max_n=7), st.data())
+        def check(g, data):
+            for directed in (True, False):
+                orientations = connectivity._orientations(g, directed)
+                for side, (view, reverse) in enumerate(orientations):
+                    for t in range(1, g.n):
+                        a = data.draw(st.integers(0, t - 1))
+                        others = [w for w in range(g.n) if w not in (a, t)]
+                        blocked = tuple(data.draw(
+                            st.lists(st.sampled_from(others), max_size=2,
+                                     unique=True))) if others else ()
+                        pair = set().union(*(adj[a] for adj in view))
+                        for item, starts in (
+                            ((t, side, ()), range(t)),
+                            ((t, side, (a,)), pair),
+                        ):
+                            table = _Table()
+                            for K in sorted(data.draw(st.lists(
+                                st.integers(1, 5), min_size=1, max_size=3))):
+                                for P in data.draw(st.permutations([(), blocked])):
+                                    check_count(g, table, item, view,
+                                                reverse, starts, K, P)
+
+        with mock.patch.object(connectivity, "_Own", CountedOwn):
+            check()
+        assert min(tally.values()) >= 50, tally
+        # small random fans rarely need a search with more paths left; here
+        # both paths into 2 run over three arcs, so the count of g searches
+        # for one path and stops there, capped, without a spare
+        g = Digraph(7, [(0, 3), (3, 4), (4, 2), (1, 5), (5, 6), (6, 2)])
+        table = _Table()
+        assert table.count((2, 0, ()), (g._in,), range(2), 1, ()) == (1, 0)
+        assert table.counts[2, 0, ()][:2] == (1, True)
 
     def test_augmenting_path_reroutes_a_path(self):
         # starts 0 and 1, t = 4: 1 can only go through 2, so when the
@@ -1050,6 +1158,32 @@ class TestMengerVerdict:
                 checked += 1
         assert checked == 4 + 64 + 4096
 
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(min_n=4, max_n=9))
+    def test_witness_matches_oracle(self, g):
+        # the witness of a false verdict is the first set, by size and
+        # then lexicographically, whose deletion the brute-force oracle
+        # finds not strongly biconnected; also on the near-miss of the
+        # last vertex, whose size-2 witness comes late in the order
+        graphs = [g]
+        if g.in_degree(g.n - 1) >= 2:
+            graphs.append(near_miss(g, g.n - 1))
+        for h in graphs:
+            out, inn = _arc_masks(h.n, h.edges())
+            everyone = (1 << h.n) - 1
+            for k in range(1, min(3, h.n - 1) + 1):
+                first = next((
+                    cut
+                    for size in range(k)
+                    for cut in combinations(range(h.n), size)
+                    if not _sb_bruteforce(
+                        out, inn, everyone & ~sum(1 << v for v in cut))
+                ), None)
+                report = is_k_vsb(h, k)
+                assert report.witness == (
+                    None if first is None else Witness(VERTEX_CUT, first)
+                ), (h.edges(), k)
+
     @pytest.mark.parametrize("n", [8, 11])
     def test_late_size_two_witness(self, n):
         # the last vertex keeps only its in-arcs from n-3 and n-2, so every
@@ -1117,7 +1251,9 @@ class TestMengerVerdict:
         # after a false verdict, each table lists its fans as
         # assert_index_holds says, whether it kept their paths or not, also
         # on the near-miss of the last vertex, whose fans the witness search
-        # must visit
+        # must visit.  The fans are indexed at the first _Table.fans call,
+        # which only a prefix or leaf test makes; a table that none made
+        # lists nothing yet, and indexing it then lists every fan
         graphs = [g]
         if g.in_degree(g.n - 1) >= 2:
             graphs.append(near_miss(g, g.n - 1))
@@ -1127,6 +1263,8 @@ class TestMengerVerdict:
                     report, tables = recorded_tables(h, k, base)
                     assert len(tables) == 2 * (not report.verdict)
                     for table in tables:
+                        assert_index_holds(table)
+                        table.fans(h.n, (), 1)
                         assert_index_holds(table)
 
     def test_visit_list_leaves_out_only_passing_fans(self):
@@ -1155,13 +1293,15 @@ class TestMengerVerdict:
         # the n=50 near-miss of tests/test_cli.py: with one full Even's test
         # per prefix and leaf, is_k_vsb(near, 3) made 7,143 path counts;
         # walking the whole shared table in each test, it made 327 and
-        # visited the table 6,981 times.  The indexed table visits it 876
-        # times; both numbers are exact, since a search that found other
-        # paths would keep other paths and visit or recount other items
+        # visited the table 6,981 times.  The indexed table visited it 876
+        # times.  With the two-arc paths in the table's counts and a spare
+        # path on g, it makes 183 counts and 885 visits; both numbers are
+        # exact, since a search that found other paths would keep other
+        # paths and visit or recount other items
         near = near_miss(generate(InstanceSpec(50, 800, 1)).graph, 7)
         report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
         assert report.witness == Witness(VERTEX_CUT, (45, 48))
-        assert (calls, visits) == (327, 876)
+        assert (calls, visits) == (183, 885)
 
     def test_true_verdict_counts(self, monkeypatch):
         # the true verdict of the perfbench check instance: Even's test at
@@ -1174,11 +1314,13 @@ class TestMengerVerdict:
         # recorded with one full Even's test per prefix and leaf, which
         # took about 0.4 s; vertex 7 keeps its in-arcs from 78 and 87.  A
         # walk over the whole shared table made 628 path counts and 25,662
-        # table visits; the indexed table makes exactly 1,786
+        # table visits, and the indexed table 628 and 1,786.  With the
+        # two-arc paths in the table's counts and a spare path on g, it
+        # makes exactly 334 counts and 1,817 visits
         near = near_miss(generate(InstanceSpec(100, seed=1)).graph, 7)
         report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
         assert report.witness == Witness(VERTEX_CUT, (78, 87))
-        assert (calls, visits) == (628, 1786)
+        assert (calls, visits) == (334, 1817)
 
     @pytest.mark.parametrize("n, cut", [(200, (171, 187)), (400, (378, 390))])
     def test_late_witness_at_scale(self, n, cut):
@@ -1204,42 +1346,43 @@ class TestMengerVerdict:
         assert peak < 1000 * n
 
     def test_size_tests_count_as_without_table(self, monkeypatch):
-        # the tests that find the witness's size count each item only as
-        # far as they need it and stop at their first failing item, as they
-        # do without a table; counting to a fixed cap instead walked every
-        # fan of the bidirected path to its end, O(n^2) in all
-        calls = []
-        original = connectivity._disjoint_paths
+        # the tests that find the witness's size set up no more augmenting
+        # searches (one _Own each) than they do without a table: they count
+        # each item only as far as they need it, a spare path on g comes
+        # from the free passes alone, and they stop at their first failing
+        # item; counting to a fixed cap instead walked every fan of the
+        # bidirected path to its end, O(n^2) in all
+        CountedOwn, searches = own_counter()
+        first_cut = connectivity._first_cut
+        sized = []
 
-        def counting(reverse, starts, t, need, blocked, pred=None):
-            calls.append((t, need, blocked))
-            return original(reverse, starts, t, need, blocked, pred)
-
-        def counted(run):
-            calls.clear()
-            run()
-            return list(calls)
+        def marking(g, size, prefix, tables):
+            # the searches made before the witness search began
+            if not prefix:
+                sized.append(len(searches))
+            return first_cut(g, size, prefix, tables)
 
         n = 300
         arcs = [(i, i + 1) for i in range(n - 1)]
         bidirected_path = Digraph(n, arcs + [(j, i) for i, j in arcs])
         # 2-vsb, witness {0, 1}: the size tests pass at levels 1 and 2
         square = Digraph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
-        monkeypatch.setattr(connectivity, "_disjoint_paths", counting)
+        monkeypatch.setattr(connectivity, "_Own", CountedOwn)
+        monkeypatch.setattr(connectivity, "_first_cut", marking)
         for g, k, levels, cut in (
             (bidirected_path, 1, (1,), ()),
             (bidirected_path, 3, (3, 2, 1), ()),
             (directed_path(9), 2, (2, 1), ()),
             (square, 3, (3, 2), (0, 1)),
         ):
-            alone = counted(lambda: [_vsb_at_least(g, K, ()) for K in levels])
-            shared = counted(lambda: is_k_vsb(g, k))
-            # the same counts in the same order, none of them asked for
-            # more paths (a table caps a count at its number of starts)
-            pairs = zip(shared, alone)
-            assert all(a[::2] == b[::2] and a[1] <= b[1] for a, b in pairs)
-            assert len(alone) <= len(shared) <= len(alone) + 2 * len(cut)
+            searches.clear()
+            for K in levels:
+                _vsb_at_least(g, K, ())
+            alone = len(searches)
+            searches.clear()
+            sized.clear()
             assert is_k_vsb(g, k).witness == Witness(VERTEX_CUT, cut)
+            assert sized[0] <= alone, (k, sized, alone)
 
     def test_true_verdict_checks_no_residual(self, monkeypatch):
         # a verdict, true or false, is decided by path counts alone, and so

@@ -13,7 +13,8 @@ with GC paused: the median of a first call and as many more as fit in
 instance's size and digest, the counts and, per operation, the median
 over the R processes (``cpu_ms``, in ms) and each one (``cpu_ms_runs``).
 The run exits 1 at the first instance whose sides differ in the
-instance or a compared field.
+instance or a compared field; the other counts are recorded for each
+side without a gate.
 
 ``sweep`` times ``minimal_k_vsb(g, 3)``, ``two_phase_3vsb(g)`` and the
 degree-only walk alone (``extraction._walk`` at k=3 in input order).
@@ -27,9 +28,11 @@ their median, ``generate(InstanceSpec(n, seed=1))`` at n = 100, 400 and
 1,000, and ``block_ring(67)`` from the tests, whose degree-only results
 fail their check, so both extractors fall back.  R=5 takes minutes.
 
-``verdict`` times ``is_k_vsb(g, 3)``, compares its witness and its
-``_Table.count`` visits and ``_disjoint_paths`` calls, and records its
-tracemalloc peak (KB).  Instances: near-miss copies of
+``verdict`` times ``is_k_vsb(g, 3)``, compares its witness, and records
+its ``_Table.count`` visits, its ``_disjoint_paths`` calls and its
+tracemalloc peak (KB).  The two counters are costs that a change to the
+witness search moves on purpose; the tier-1 tests pin their exact values
+on the near-misses at n = 50 and 100.  Instances: near-miss copies of
 ``generate(InstanceSpec(n, seed=1))`` in which vertex 7 keeps only its
 two highest in-neighbours (n = 50 with 800 initial arcs, as pinned in
 the tests, then n = 100, 200, 400); four sparse false inputs at
@@ -366,8 +369,7 @@ SUITES = {
                       "bidirected_cycle_n1000", "directed_square_cycle_n1000",
                       "bidirected_path_n1000", "check_n50", "generated_n200",
                       "generated_n1000", "minimal_output_n1000"],
-                     verdict_operations, verdict_counts,
-                     ["witness", "table_visits", "disjoint_paths_calls"]),
+                     verdict_operations, verdict_counts, ["witness"]),
     "ingest": Suite(["check_n50", "check_n50_commented", "generated_n1000"],
                     ingest_operations, ingest_counts, ["text", "parsed"]),
     "generate": Suite([*GROW, "check_n50", "generated_n100", "generated_n1000",
