@@ -138,26 +138,25 @@ class _Table:
 
         The item is counted on g, capped at K + |blocked|, when it has no
         count yet, or when its count reached its cap and fewer than K of
-        its paths avoid the blocked vertices.  A capped count whose paths
-        were kept is extended from them: augmenting from a set of disjoint
-        paths (a feasible flow) reaches the same count as from none.  A
-        count made for a test of g itself (nothing blocked) also takes one
-        spare path from the free passes of :func:`_disjoint_paths`, which
-        set up no search: every later test of a residual g-P asks for
-        K+|P| paths on g, one more than the test of g, so an item with a
-        spare path is not recounted there unless P cuts its paths.
+        its paths avoid the blocked vertices.  A recount starts afresh, and
+        the count it replaces was below the new cap (c-h < K, with h at
+        most |blocked|), so counts on g only grow.  A count made for a test of
+        g itself (nothing blocked) also takes one spare path from the free
+        passes of :func:`_disjoint_paths`, which set up no search: every
+        later test of a residual g-P asks for K+|P| paths on g, one more
+        than the test of g, so an item with a spare path is not recounted
+        there unless P cuts its paths.
         """
         found = self.counts.get(item)
-        paths: dict[int, int] | None = {}
         if found is not None:
             count, capped, kept = found
             cut = _cut(kept, blocked)
             if count - cut >= K or not capped:
                 return count, cut
-            paths = dict(kept or {})
         t, _, own = item
         # each path takes a start of its own, so no more can exist
         need = min(K + len(blocked), len(starts))
+        paths: dict[int, int] | None = {}
         count = _disjoint_paths(
             reverse, starts, t, need, own, paths, 0 if blocked else 1
         )
@@ -399,7 +398,7 @@ def _connectivity_at_least(
     the number h of the blocked set P's vertices on its paths (|P| where
     the paths were not kept).  The item is recounted with P blocked only
     when K <= c < K+h, so never when c >= K+|P|.  A count on g that is
-    missing, or that reached its cap with c-h < K, is made first, capped
+    missing, or that reached its cap with c-h < K, is made afresh, capped
     at K+|P| (a count with P empty may take one spare path beyond); any
     cap of at least K+|P| will do, since c-h < K then means c is below
     K+|P|, so below the cap, and exact.  Proof:
@@ -423,9 +422,9 @@ def _connectivity_at_least(
     is neither counted nor relisted during the walk.  Every such fan
     passes without a visit: it is a fan into some t >= s, so the passing
     test at level s counted it, and its count c on g is at least s >= K
-    (counts on g only grow as they are extended); its last count kept
-    its paths and listed it under each of their vertices, none of which
-    is in P, so h = 0 and c-h >= K.  The verdict is the full walk's, and
+    (counts on g only grow, since a recount replaces only a count below
+    its new cap); its last count kept its paths and listed it under each
+    of their vertices, none of which is in P, so h = 0 and c-h >= K.  The verdict is the full walk's, and
     so is every count made before the first failing item.
     """
     # the pairs and the fans need only the first K+1 survivors
@@ -496,13 +495,11 @@ def _disjoint_paths(
     passes take up to ``spare`` paths beyond need, which the caller may
     keep for a later, higher need; the searches stop at need.
 
-    A dict passed as ``pred`` is left holding the counted paths; its
-    keys are their vertices other than t.  If it holds the paths of an
-    earlier count with the same arguments but a lower need, the count
-    continues from them, free passes first.  Any set of disjoint paths
-    is a feasible flow, and Ford-Fulkerson from a feasible flow reaches
-    the same value, so the free passes and the kept paths change which
-    paths are found, never a count below need.
+    An empty dict passed as ``pred`` is left holding the counted paths;
+    its keys are their vertices other than t.  The paths of the free
+    passes are disjoint, a feasible flow, and Ford-Fulkerson from a
+    feasible flow reaches the same value, so the free passes change
+    which paths are found, never a count below need.
 
     The queue holds entries only, and each search stops at the first
     start it reaches.  An exit is entered from one entry alone: its
@@ -522,13 +519,6 @@ def _disjoint_paths(
         pred = {}
     succ: dict[int, int] = {}
     count = 1 if t in starts else 0
-    if pred:
-        succ = {x: v for v, x in pred.items() if x != _SOURCE}
-        # one start per path; the last vertex of each path enters t
-        count += len(pred) - len(succ)
-        for v in pred:
-            if v not in succ:
-                succ[v] = t
     free = need + spare
     for adj in reverse:
         for y in adj[t]:

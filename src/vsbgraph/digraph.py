@@ -1,13 +1,12 @@
-"""Directed-graph value type with deletion-friendly edge bookkeeping.
+"""Directed-graph value type.
 
 Vertices are the dense integers ``0..n-1``.  Edges form an ordered
 sequence; insertion order is significant (the greedy extraction
 algorithms iterate edges in it) and is preserved by serialization.
-The sequence records every arc ever inserted, each with an activity
-flag; it only grows.  Removing an edge clears its flag instead of
-rebuilding adjacency, and restoring it goes through ``add_edge``, which
-sets the flag again, so a remove/restore pair costs O(degree) and a
-restored edge reappears at its original position.
+The sequence holds exactly the arcs present, each with its out- and
+in-adjacency entry.  Adding an arc appends it and removing one deletes
+it, both in O(1); an arc added again, or put back with ``restore_edge``,
+goes to the end of the sequence.
 
 A :class:`Digraph` may be shared read-only across threads; the mutating
 methods (``add_edge``, ``remove_edge``, ``restore_edge``) require
@@ -47,93 +46,68 @@ _EDGE_LIST = re.compile(rf"({_FIELD}) ({_FIELD})((?:\n{_FIELD} {_FIELD})*)\n?")
 class Digraph:
     """Simple directed graph: no self-loops, no parallel arcs."""
 
-    __slots__ = ("n", "_edges", "_out", "_in", "_m")
+    __slots__ = ("n", "_edges", "_out", "_in")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        # every arc ever inserted, in insertion order, mapped to whether it
-        # is active; reassigning a key keeps its position
-        self._edges: dict[tuple[int, int], bool] = {}
+        # the arcs present, in insertion order
+        self._edges: dict[tuple[int, int], None] = {}
         self._out: list[set[int]] = [set() for _ in range(n)]
         self._in: list[set[int]] = [set() for _ in range(n)]
         arcs, out, inn = self._edges, self._out, self._in
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v or (u, v) in arcs:
                 self.add_edge(u, v)  # raises the error for the first bad arc
-            arcs[(u, v)] = True
+            arcs[(u, v)] = None
             out[u].add(v)
             inn[v].add(u)
-        self._m = len(arcs)
 
     @property
     def m(self) -> int:
-        """Number of active edges."""
-        return self._m
+        """Number of edges."""
+        return len(self._edges)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Active edges in sequence order."""
-        return [e for e, alive in self._edges.items() if alive]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._edges.get((u, v), False)
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return frozenset(self._out[v])
+        """Edges in sequence order."""
+        return list(self._edges)
 
     def in_neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
         return frozenset(self._in[v])
 
-    def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._out[v])
-
-    def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._in[v])
-
     def add_edge(self, u: int, v: int) -> None:
-        """Insert the arc (u, v).
-
-        A brand-new pair is appended to the edge sequence; a pair that
-        was removed earlier is reactivated at its original position.
-        """
+        """Append the arc (u, v) to the edge sequence."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             self._check_vertex(u)
             self._check_vertex(v)
         if u == v:
             raise SelfLoopError(f"self-loop ({u}, {v}) not allowed")
-        if self._edges.get((u, v)):
+        if (u, v) in self._edges:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        self._edges[(u, v)] = True
+        self._edges[(u, v)] = None
         self._out[u].add(v)
         self._in[v].add(u)
-        self._m += 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Deactivate the arc (u, v); its slot is kept for restoration."""
-        if not self._edges.get((u, v)):
+        """Delete the arc (u, v) from the edge sequence."""
+        if (u, v) not in self._edges:
             raise EdgeAbsentError(f"edge ({u}, {v}) not present")
-        self._edges[(u, v)] = False
+        del self._edges[(u, v)]
         self._out[u].discard(v)
         self._in[v].discard(u)
-        self._m -= 1
 
     def restore_edge(self, u: int, v: int) -> None:
-        """Reactivate a previously removed arc at its original position;
-        an arc that is already active raises :class:`DuplicateEdgeError`."""
-        if (u, v) not in self._edges:
-            raise EdgeAbsentError(f"edge ({u}, {v}) was never present")
+        """Undo ``remove_edge(u, v)``: re-add the arc, at the end of the
+        edge sequence (:meth:`add_edge`)."""
         self.add_edge(u, v)
 
     def copy(self) -> Digraph:
-        """Independent copy holding only the active edges."""
+        """Independent copy: same edge sequence, no shared set."""
         g = Digraph.__new__(Digraph)
-        g.n, g._m = self.n, self._m
-        g._edges = {e: True for e, alive in self._edges.items() if alive}
+        g.n = self.n
+        g._edges = self._edges.copy()
         g._out = [set(s) for s in self._out]
         g._in = [set(s) for s in self._in]
         return g
@@ -150,7 +124,7 @@ class Digraph:
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={self._m})"
+        return f"Digraph(n={self.n}, m={self.m})"
 
 
 def parse_edge_list(text: str) -> Digraph:

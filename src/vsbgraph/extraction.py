@@ -111,10 +111,9 @@ class ExtractionResult:
     """An extraction's output.
 
     ``subgraph`` is a new graph holding exactly the kept edges, in the
-    input's edge order (the backbone's in candidate order); it keeps no
-    slot for a removed edge, so ``subgraph.restore_edge`` of one raises
-    :class:`EdgeAbsentError`.  ``removed`` lists the removed edges in
-    candidate order and ``protected`` the protected ones in input order.
+    input's edge order (the backbone's in candidate order).  ``removed``
+    lists the removed edges in candidate order and ``protected`` the
+    protected ones in input order.
     """
 
     subgraph: Digraph
@@ -172,10 +171,10 @@ def _walk(
     tests = 0
     for e in candidates:
         u, v = e
-        if not (out[u] and inn[v] and arcs.get(e)) or e in protected:
+        if not (out[u] and inn[v] and e in arcs) or e in protected:
             continue
         # the neighbour slacks fall unless the reverse arc stays
-        lone = (v, u) in removed or not arcs.get((v, u))
+        lone = (v, u) in removed or (v, u) not in arcs
         if lone and not (nbrs[u] and nbrs[v]):
             continue
         if local is not None:

@@ -45,14 +45,15 @@ def reference_walk(
     and those g lacks.  A candidate goes unless its removal puts an end
     below the degree bound or, when ``local``, fails ``stays``.
 
-    Returns the copy, the removed edges in candidate order and the number
-    of local tests made.
+    Returns the copy's edges as a new graph in g's edge order (the copy
+    itself holds each restored candidate last), the removed edges in
+    candidate order and the number of local tests made.
     """
     work = g.copy()
     removed: list[Edge] = []
     flow_tests = 0
     for u, v in candidates:
-        if (u, v) in protected or not g.has_edge(u, v):
+        if (u, v) in protected or v not in g._out[u]:
             continue
         work.remove_edge(u, v)
         keep = below_degree_bound(work, u, k) or below_degree_bound(work, v, k)
@@ -63,4 +64,5 @@ def reference_walk(
             work.restore_edge(u, v)
         else:
             removed.append((u, v))
-    return work, removed, flow_tests
+    kept = Digraph(g.n, [(u, v) for u, v in g.edges() if v in work._out[u]])
+    return kept, removed, flow_tests

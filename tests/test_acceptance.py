@@ -127,7 +127,7 @@ def test_ac4_soundness_and_spanning(bench_cases):
                 violations.append((case.n, case.seed, label, "edge subset"))
             if not is_k_vsb(result.subgraph, 3).verdict:
                 violations.append((case.n, case.seed, label, "not 3-vsb"))
-        if not all(case.two_phase.subgraph.has_edge(u, v)
+        if not all(v in case.two_phase.subgraph._out[u]
                    for u, v in case.two_phase.protected):
             violations.append((case.n, case.seed, "two-phase", "protected lost"))
     _report(f"criterion 4 (soundness+spanning on {len(bench_cases)} instances)",

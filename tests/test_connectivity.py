@@ -194,9 +194,9 @@ class TestSmallResiduals:
                         expected = None
                         if survivors == 2:
                             u, v = kept
-                            for pair in ((u, v), (v, u)):
-                                if not g.has_edge(*pair):
-                                    expected = Witness(UNREACHABLE_PAIR, pair)
+                            for a, b in ((u, v), (v, u)):
+                                if b not in g._out[a]:
+                                    expected = Witness(UNREACHABLE_PAIR, (a, b))
                                     break
                         assert _strong_biconnectivity_witness(g, blocked) == expected
                         checked += 1
@@ -246,8 +246,8 @@ class TestKVsb:
     def test_degree_lower_bound(self, g):
         if is_k_vsb(g, 3).verdict:
             for v in range(g.n):
-                assert g.in_degree(v) >= 3
-                assert g.out_degree(v) >= 3
+                assert len(g._in[v]) >= 3
+                assert len(g._out[v]) >= 3
 
     @given(digraphs(min_n=4, max_n=6))
     def test_false_witnesses_replay(self, g):
@@ -307,7 +307,7 @@ def reference_sweep(g, k, candidates, protected=frozenset(), seen=None):
         work.remove_edge(u, v)
         stays = enumerated_stays_k_vsb(work, k, u, v)
         if seen is not None:
-            seen.add((k, stays, work.has_edge(v, u)))
+            seen.add((k, stays, u in work._out[v]))
         if stays:
             removed.append((u, v))
         else:
@@ -388,7 +388,7 @@ class TestLocalRemovability:
                         assert local == is_k_vsb(g, k).verdict, (g.edges(), k, u, v)
                         if n <= 7:
                             assert local == oracle_k_vsb(g, k), (g.edges(), k, u, v)
-                        seen.add((k, local, g.has_edge(v, u)))
+                        seen.add((k, local, u in g._out[v]))
                         g.restore_edge(u, v)
         # both verdicts, with and without the reverse arc, at every k
         assert seen == {
@@ -414,7 +414,7 @@ class TestLocalRemovability:
     @pytest.mark.parametrize("k,n,edges,u,v", ARTICULATION_ONLY)
     def test_articulation_point_without_reverse_arc(self, k, n, edges, u, v):
         g = Digraph(n, edges)
-        assert is_k_vsb(g, k).verdict and not g.has_edge(v, u)
+        assert is_k_vsb(g, k).verdict and u not in g._out[v]
         g.remove_edge(u, v)
         others = [w for w in range(n) if w not in (u, v)]
         for size in range(k):
@@ -498,10 +498,10 @@ class TestLocalRemovability:
                 assert calls[0] == (1, v, k, (u,))
                 if len(calls) == 2:
                     assert calls[1] == (2, v, k + 1, (u,))
-                    assert not g.has_edge(v, u)
+                    assert u not in g._out[v]
                 else:
                     assert len(calls) == 1
-                    assert not local or g.has_edge(v, u)
+                    assert not local or u in g._out[v]
                 seen.add((k, len(calls)))
                 g.restore_edge(u, v)
         assert seen == {(k, c) for k in (1, 2, 3) for c in (1, 2)}
@@ -715,12 +715,6 @@ def dequeue_time_paths(reverse, starts, t, need, blocked, pred=None) -> int:
         pred = {}
     succ = {}
     count = 1 if t in starts else 0
-    if pred:
-        succ = {x: v for v, x in pred.items() if x != source}
-        count += len(pred) - len(succ)
-        for v in pred:
-            if v not in succ:
-                succ[v] = t
     for adj in reverse:
         for y in adj[t]:
             if count >= need:
@@ -797,10 +791,10 @@ class TestDisjointPaths:
 
     def test_same_paths_as_dequeue_time_search(self):
         # stopping each augmenting search at the first start it reaches
-        # changes its work, not its paths: every count, fresh or extended
-        # from kept paths to a higher need, equals the dequeue-time
-        # search's and leaves pred the same, item for item and in order;
-        # fans and pairs in each view, with random blocked vertices
+        # changes its work, not its paths: every count equals the
+        # dequeue-time search's and leaves pred the same, item for item
+        # and in order; fans and pairs in each view, with random blocked
+        # vertices
         rng = random.Random(15)
         calls = searched = sink_reached = 0
         for _ in range(150):
@@ -837,17 +831,7 @@ class TestDisjointPaths:
                         calls += 1
                         searched += got > direct
                         sink_reached += t in starts and got > 1
-                        for more in (need + 1, need + 2):
-                            new2, old2 = dict(new), dict(old)
-                            got = _disjoint_paths(reverse, starts, t, more, avoid, new2)
-                            want = dequeue_time_paths(
-                                reverse, starts, t, more, avoid, old2
-                            )
-                            assert (got, list(new2.items())) == (
-                                want, list(old2.items())
-                            ), (g.edges(), starts, t, need, more, avoid)
-                            calls += 1
-        assert calls >= 9000 and searched > 100 and sink_reached > 100
+        assert calls == 3600 and searched > 100 and sink_reached > 100
 
     def test_same_paths_on_detours(self):
         # random graphs rarely make a search walk back along a path over
@@ -972,50 +956,21 @@ class TestDisjointPaths:
         assert tally["open"] >= 50, tally
         assert tally["decided"] >= 0.6 * tally["open"], tally
 
-    @given(digraphs(min_n=2, max_n=7))
-    def test_extended_count_matches_fresh_count(self, g):
-        # a count capped at c and continued from its paths to a higher cap,
-        # as _Table extends a count, equals a fresh count at that cap, and
-        # leaves pred holding disjoint paths into t; every pair and fan of
-        # Even's test, in each orientation and in the undirected view
-        for directed in (True, False):
-            orientations = connectivity._orientations(g, directed)
-            for K in range(1, min(3, g.n - 1) + 1):
-                fans = [
-                    (t, side, ())
-                    for t in range(K, g.n)
-                    for side in range(len(orientations))
-                ]
-                items = connectivity._even_items(orientations, range(g.n), K, fans)
-                for (t, _, own), reverse, starts in items:
-                    for cap in range(1, K + 2):
-                        pred = {}
-                        _disjoint_paths(reverse, starts, t, cap, own, pred)
-                        for more in range(cap + 1, K + 3):
-                            extended = dict(pred)
-                            got = _disjoint_paths(
-                                reverse, starts, t, more, own, extended
-                            )
-                            fresh = _disjoint_paths(reverse, starts, t, more, own)
-                            assert got == fresh, (g.edges(), t, own, cap, more)
-                            held = held_paths(reverse, starts, t, own, extended)
-                            assert held == got
-
     def test_table_counts_match_brute_force_cut(self):
         # every count _Table.count makes on g agrees with Menger's bound
-        # (fan_cut): fresh counts, counts extended from their kept paths
-        # to a higher level, and counts of g itself (nothing blocked),
-        # which take a spare path from the free passes.  Below its cap
-        # K+|P| a count is the bound; at its cap it is at most the bound,
-        # and beyond it by one path at most and only with nothing blocked.
-        # The kept paths are disjoint paths of the item.  A count sets up
+        # (fan_cut): fresh counts, recounts at a higher level, which never
+        # fall below the count they replace, and counts of g itself
+        # (nothing blocked), which take a spare path from the free
+        # passes.  Below its cap K+|P| a count is the bound; at its cap it
+        # is at most the bound, and beyond it by one path at most and only
+        # with nothing blocked.  The kept paths are disjoint paths of the item.  A count sets up
         # an augmenting search (one _Own) exactly when the same count
         # without a spare path does, and one that takes a spare path sets
         # up none, so a spare path never comes from a search.  Random
         # digraphs, pairs and fans in the three views, needs 1-5, with
         # and without blocked vertices, in either order
         CountedOwn, searches = own_counter()
-        tally = {"spare": 0, "extended": 0, "blocked": 0}
+        tally = {"spare": 0, "recounted": 0, "blocked": 0}
 
         def check_count(g, table, item, view, reverse, starts, K, blocked):
             t, _, own = item
@@ -1030,19 +985,19 @@ class TestDisjointPaths:
             bound = fan_cut(g, view, starts, t, own)
             assert count <= bound, item
             assert count >= min(need, bound), item
+            assert found is None or count >= found[0], item
             assert count <= need + (not blocked), item
             assert count <= need or not spent, item
             assert capped == (need <= count < len(starts)), item
             if paths is not None:
                 assert held_paths(reverse, starts, t, own, paths) == count
             assert cut == connectivity._cut(paths, blocked)
-            pred = dict(found[2] or {}) if found else {}
             searches.clear()
-            assert _disjoint_paths(reverse, starts, t, need, own, pred) == min(
+            assert _disjoint_paths(reverse, starts, t, need, own, {}) == min(
                 need, bound)
             assert spent == len(searches), item
             tally["spare"] += count > need
-            tally["extended"] += found is not None
+            tally["recounted"] += found is not None
             tally["blocked"] += bool(blocked)
 
         @settings(max_examples=120, deadline=None)
@@ -1166,7 +1121,7 @@ class TestMengerVerdict:
         # finds not strongly biconnected; also on the near-miss of the
         # last vertex, whose size-2 witness comes late in the order
         graphs = [g]
-        if g.in_degree(g.n - 1) >= 2:
+        if len(g._in[g.n - 1]) >= 2:
             graphs.append(near_miss(g, g.n - 1))
         for h in graphs:
             out, inn = _arc_masks(h.n, h.edges())
@@ -1212,7 +1167,7 @@ class TestMengerVerdict:
             for trial in range(16):
                 p = rng.uniform(0.3, 0.95)
                 g = Digraph(n, [a for a in arcs if rng.random() < p])
-                if trial % 2 and g.in_degree(0) >= 2:
+                if trial % 2 and len(g._in[0]) >= 2:
                     g = near_miss(g, 0)
                 for k in (1, 2, 3):
                     expected = first_failing_set(g, k)
@@ -1255,7 +1210,7 @@ class TestMengerVerdict:
         # which only a prefix or leaf test makes; a table that none made
         # lists nothing yet, and indexing it then lists every fan
         graphs = [g]
-        if g.in_degree(g.n - 1) >= 2:
+        if len(g._in[g.n - 1]) >= 2:
             graphs.append(near_miss(g, g.n - 1))
         for h in graphs:
             for k in range(1, min(3, h.n - 1) + 1):
@@ -1282,7 +1237,7 @@ class TestMengerVerdict:
                 p = rng.uniform(0.5, 0.95)
                 g = Digraph(n, [a for a in arcs if rng.random() < p])
                 v = rng.randrange(n // 2, n)
-                if trial % 2 and g.in_degree(v) >= 2:
+                if trial % 2 and len(g._in[v]) >= 2:
                     g = near_miss(g, v)
                 graphs.append(g)
         for g in graphs:
