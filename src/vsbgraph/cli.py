@@ -5,7 +5,10 @@ connectivity predicate on an edge-list file), ``minimize`` (extract a
 sparse 3-vsb spanning subgraph), ``bench`` (run the experiment table).
 
 Exit codes: 0 success / predicate true; 1 predicate false or failed
-precondition; 2 usage or input-parse errors.
+precondition; 2 usage errors, and input the command cannot use: a file
+it cannot read, decode as ASCII, parse or write, or an invalid ``bench``
+plan.  :func:`main` is the one place that applies this policy; each
+command handler holds only its successful path and lets errors rise.
 """
 from __future__ import annotations
 
@@ -20,14 +23,31 @@ from .generator import InstanceSpec, generate
 from .harness import ExperimentPlan, emit_table, run_experiment
 
 
+class _InputError(Exception):
+    """A file or plan the command cannot use; :func:`main` exits 2."""
+
+
 def _read_graph(path: str) -> Digraph:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_edge_list(handle.read())
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return parse_edge_list(handle.read())
+    except (OSError, UnicodeDecodeError, GraphError) as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _InputError(str(exc)) from None
+
+
+def _plan(args: argparse.Namespace) -> ExperimentPlan:
+    try:
+        return ExperimentPlan(tuple(args.sizes), args.seeds_per_size, args.mult)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _fail(code: int, message: str) -> int:
@@ -36,16 +56,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        edges = None if args.mult is None else args.mult * args.n
-        spec = InstanceSpec(args.n, edges, args.seed)
-        instance = generate(spec)
-    except GraphError as exc:
-        return _fail(1, str(exc))
-    try:
-        _write_text(args.out, serialize_edge_list(instance.graph))
-    except OSError as exc:
-        return _fail(2, str(exc))
+    edges = None if args.mult is None else args.mult * args.n
+    spec = InstanceSpec(args.n, edges, args.seed)
+    instance = generate(spec)
+    _write_text(args.out, serialize_edge_list(instance.graph))
     print(
         f"n={spec.n} m0={spec.initial_edges} "
         f"grown={instance.edges_added_in_growth} m={instance.graph.m}"
@@ -54,17 +68,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.infile)
-    except (OSError, UnicodeDecodeError, GraphError) as exc:
-        return _fail(2, str(exc))
-    try:
-        if args.k == 1:
-            report = is_strongly_biconnected(g)
-        else:
-            report = is_k_vsb(g, args.k)
-    except GraphError as exc:
-        return _fail(1, str(exc))
+    g = _read_graph(args.infile)
+    if args.k == 1:
+        report = is_strongly_biconnected(g)
+    else:
+        report = is_k_vsb(g, args.k)
     if report.verdict:
         print("true")
         return 0
@@ -73,23 +81,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.infile)
-    except (OSError, UnicodeDecodeError, GraphError) as exc:
-        return _fail(2, str(exc))
-    try:
-        if args.algo == "minimal":
-            result = minimal_k_vsb(g, 3, order=args.order, seed=args.seed)
-        else:
-            result = two_phase_3vsb(g, order=args.order, seed=args.seed)
-    except NotKVsbError as exc:
-        return _fail(1, f"{exc.witness}")
-    except GraphError as exc:
-        return _fail(1, str(exc))
-    try:
-        _write_text(args.out, serialize_edge_list(result.subgraph))
-    except OSError as exc:
-        return _fail(2, str(exc))
+    g = _read_graph(args.infile)
+    if args.algo == "minimal":
+        result = minimal_k_vsb(g, 3, order=args.order, seed=args.seed)
+    else:
+        result = two_phase_3vsb(g, order=args.order, seed=args.seed)
+    _write_text(args.out, serialize_edge_list(result.subgraph))
     stats = result.stats
     print(
         f"edges_in={stats.edges_in} edges_out={stats.edges_out} "
@@ -101,23 +98,12 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        plan = ExperimentPlan(
-            sizes=tuple(args.sizes),
-            seeds_per_size=args.seeds_per_size,
-            multiplier=args.mult,
-        )
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    rows = run_experiment(plan, workers=args.workers)
+    rows = run_experiment(_plan(args), workers=args.workers)
     table = emit_table(rows, args.format)
     if args.out is None:
         sys.stdout.write(table)
-        return 0
-    try:
+    else:
         _write_text(args.out, table)
-    except OSError as exc:
-        return _fail(2, str(exc))
     return 0
 
 
@@ -263,6 +249,13 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    Usage errors and ``--help`` exit as argparse decides.  An unusable
+    file or plan exits 2; a failed precondition exits 1, with only the
+    witness for a graph that is not 3-vsb.  Each failure prints one
+    ``error:`` line on stderr.
+    """
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv)
@@ -270,7 +263,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _InputError as exc:
+        return _fail(2, str(exc))
+    except NotKVsbError as exc:
+        return _fail(1, f"{exc.witness}")
+    except GraphError as exc:
+        return _fail(1, str(exc))
 
 
 def entry() -> None:

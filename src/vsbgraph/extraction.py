@@ -32,10 +32,9 @@ in-slack, and the neighbour slacks of both only when (v, u) is absent
 from the work graph (absent from the input, or removed already); so
 each candidate is decided in O(1), and the output graph is built once,
 from the kept edges in input order.  A vertex below the bound at the
-start stays there, so its arcs are degree keeps.  On the perfbench
-``thin`` instances (n=16, m=128) the walk takes 0.08 ms of minimal's
-0.38 ms, and at n=1,000 (m=17,842) 16 of 75 ms, most of the rest in the
-full test of D (CPU medians of 5 processes of ``tools/bench_compare.py sweep``).
+start stays there, so its arcs are degree keeps.  The walk is a small
+share of a sweep's time and most of the rest is the full test of D
+(``tools/bench_compare.py sweep`` times both).
 
 If D fails, the sweep falls back to the greedy sweep itself, from the
 first candidate (the first candidate where the two walks part is not

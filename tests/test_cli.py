@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: subcommands, exit codes, file round trips."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from vsbgraph import (
     Digraph,
+    SaturatedError,
     cli,
     digraph,
     generator,
+    harness,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -291,6 +298,70 @@ class TestBench:
 
     def test_empty_sizes_exit_2(self):
         assert main(["bench", "--sizes", ","]) == 2
+
+
+class TestUnusableFiles:
+    # "{dir}" stands for a directory, "{k5}" for a 3-vsb edge-list file,
+    # "{latin}" for a file that is not ASCII and "{out}" for a new file
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "5", "--seed", "1", "--out", "{dir}"],
+        ["minimize", "--in", "{k5}", "--algo", "minimal", "--out", "{dir}"],
+        ["bench", "--sizes", "5", "--seeds-per-size", "1", "--out", "{dir}"],
+        ["check", "--in", "{latin}"],
+        ["minimize", "--in", "{latin}", "--algo", "minimal", "--out", "{out}"],
+    ])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv):
+        latin = tmp_path / "latin.txt"
+        latin.write_bytes("# caf\u00e9\n4 0\n".encode("latin-1"))
+        out = tmp_path / "out.txt"
+        files = {
+            "{dir}": str(tmp_path),
+            "{k5}": write_graph(tmp_path / "k5.txt", complete_bidirected(5)),
+            "{latin}": str(latin),
+            "{out}": str(out),
+        }
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert stderr.endswith("\n") and not out.exists()
+
+    def test_bench_row_error_exits_1(self, monkeypatch, capsys):
+        # a generator error in a row (SaturatedError cannot happen on
+        # valid specs) ends the run like any other precondition failure
+        def saturated(spec):
+            raise SaturatedError("x")
+
+        monkeypatch.setattr(harness, "generate", saturated)
+        assert main(["bench", "--sizes", "5", "--seeds-per-size", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: x\n")
+
+
+class TestConsoleEntry:
+    """``python -m vsbgraph`` in a child process: the exit code reaches the
+    shell, and a failure prints one error line and no traceback."""
+
+    def run(self, *argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        return subprocess.run([sys.executable, "-m", "vsbgraph", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    def test_directory_as_out_exits_2(self, tmp_path):
+        done = self.run("gen", "--n", "5", "--seed", "1", "--out", str(tmp_path))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+    def test_minimize_non_3vsb_exits_1(self, tmp_path):
+        src = write_graph(tmp_path / "c5.txt", directed_cycle(5))
+        done = self.run("minimize", "--in", src, "--algo", "minimal",
+                        "--out", str(tmp_path / "out.txt"))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 class TestUsage:

@@ -907,7 +907,10 @@ class TestDisjointPaths:
         # digraphs, the three views, fans and pairs, blocked vertices and
         # needs 1-5.  Of the counts that reach their cap beyond the direct
         # arcs, the two-arc paths alone reach it in a large share, with no
-        # search set up (no _Own made)
+        # search set up (no _Own made).  Two fixed graphs make such counts
+        # whatever the draws: in the bidirected K(3,3) every start on t's
+        # side reaches t over two arcs only, and in the bidirected 6-cycle
+        # the far starts need a search
         CountedOwn, searches = own_counter()
         tally = {"open": 0, "decided": 0}
 
@@ -951,8 +954,16 @@ class TestDisjointPaths:
                             tally["open"] += 1
                             tally["decided"] += not searched
 
+        k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+        ring = [(i, (i + 1) % 6) for i in range(6)]
         with mock.patch.object(connectivity, "_Own", CountedOwn):
             check()
+            for arcs in (k33, ring):
+                g = Digraph(6, arcs + [(v, u) for u, v in arcs])
+                for t in range(g.n):
+                    for a in range(g.n):
+                        if a != t:
+                            check_at(g, t, a, ())
         assert tally["open"] >= 50, tally
         assert tally["decided"] >= 0.6 * tally["open"], tally
 
@@ -1000,32 +1011,59 @@ class TestDisjointPaths:
             tally["recounted"] += found is not None
             tally["blocked"] += bool(blocked)
 
-        @settings(max_examples=120, deadline=None)
-        @given(digraphs(min_n=2, max_n=7), st.data())
-        def check(g, data):
+        def check_graph(g, pick_a, pick_blocked, steps):
+            # the fan and the pair into each t of each orientation of g:
+            # pick_a(t) is the pair's vertex a < t, pick_blocked(others)
+            # the blocked set, and each item gets a table that counts at
+            # the levels and blocked sets that steps(blocked) lists
             for directed in (True, False):
                 orientations = connectivity._orientations(g, directed)
                 for side, (view, reverse) in enumerate(orientations):
                     for t in range(1, g.n):
-                        a = data.draw(st.integers(0, t - 1))
+                        a = pick_a(t)
                         others = [w for w in range(g.n) if w not in (a, t)]
-                        blocked = tuple(data.draw(
-                            st.lists(st.sampled_from(others), max_size=2,
-                                     unique=True))) if others else ()
+                        blocked = pick_blocked(others) if others else ()
                         pair = set().union(*(adj[a] for adj in view))
                         for item, starts in (
                             ((t, side, ()), range(t)),
                             ((t, side, (a,)), pair),
                         ):
                             table = _Table()
-                            for K in sorted(data.draw(st.lists(
-                                st.integers(1, 5), min_size=1, max_size=3))):
-                                for P in data.draw(st.permutations([(), blocked])):
-                                    check_count(g, table, item, view,
-                                                reverse, starts, K, P)
+                            for K, P in steps(blocked):
+                                check_count(g, table, item, view, reverse,
+                                            starts, K, P)
+
+        @settings(max_examples=120, deadline=None)
+        @given(digraphs(min_n=2, max_n=7), st.data())
+        def check(g, data):
+            def steps(blocked):
+                for K in sorted(data.draw(st.lists(
+                        st.integers(1, 5), min_size=1, max_size=3))):
+                    for P in data.draw(st.permutations([(), blocked])):
+                        yield K, P
+
+            check_graph(
+                g,
+                lambda t: data.draw(st.integers(0, t - 1)),
+                lambda others: tuple(data.draw(st.lists(
+                    st.sampled_from(others), max_size=2, unique=True))),
+                steps,
+            )
 
         with mock.patch.object(connectivity, "_Own", CountedOwn):
             check()
+            # fixed graphs make every tallied case occur whatever the
+            # draws: in a complete bidirected graph a count of g has spare
+            # direct arcs, and the levels 1-5 ask for more paths in turn
+            for n in (5, 6, 7):
+                check_graph(
+                    complete_bidirected(n),
+                    lambda t: t - 1,
+                    lambda others: tuple(others[:2]),
+                    lambda blocked: [
+                        (K, P) for K in range(1, 6) for P in ((), blocked)
+                    ],
+                )
         assert min(tally.values()) >= 50, tally
         # small random fans rarely need a search with more paths left; here
         # both paths into 2 run over three arcs, so the count of g searches
