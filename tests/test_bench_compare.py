@@ -1,21 +1,24 @@
 """tools/bench_compare.py: the counts its counting process reports, the
-fields it compares, the startup suite's child timing, and its usage
-errors.  Each run is a subprocess, as in the tool: the counting run
-leaves Digraph and connectivity names wrapped for the rest of its
-process."""
+fields it compares, the paired timing of the in-process suites, the
+startup suite's child timing and its usage errors.  Each run is a subprocess, as in the tool: the
+counting run leaves Digraph and connectivity names wrapped for the rest
+of its process."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_compare.py"
 
 
-def run(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run(*args: str, path: str = str(ROOT / "src")) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, str(TOOL), *args], env=env,
                           capture_output=True, text=True)
 
@@ -53,6 +56,32 @@ def test_verdict_gates_on_the_witness_alone():
     row = counted("verdict", "near_miss_n50")
     assert row["witness"] == "deleting {45, 48} breaks strong biconnectivity"
     assert {"table_visits", "disjoint_paths_calls"} <= set(row)
+
+
+def test_verdict_counts_on_check_near_miss():
+    # the near-miss copy that perfbench/run.py builds for its check
+    # workload, with the same digest as its pin
+    row = counted("verdict", "check_n50_near_miss")
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+    assert row["instance"] == pins["instances"]["50,800,100000,near-miss"]
+    assert row["witness"] == "deleting {12, 13} breaks strong biconnectivity"
+
+
+def test_verdict_times_both_packages_in_one_process(tmp_path):
+    # the base is imported as vsbgraph_base next to vsbgraph; a first
+    # pair is discarded, and each later pair gives one ratio change/base
+    shutil.copytree(ROOT / "src" / "vsbgraph", tmp_path / "vsbgraph_base")
+    done = run("verdict", "--measure", "check_n50_near_miss", "--repeat", "3",
+               path=os.pathsep.join([str(ROOT / "src"), str(tmp_path)]))
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout)
+    assert row["base"]["instance"] == row["change"]["instance"]
+    base, change = (row[side]["is_k_vsb"] for side in ("base", "change"))
+    assert len(base["cpu_ms_runs"]) == len(change["cpu_ms_runs"]) == 3
+    ratios = row["paired"]["is_k_vsb"]
+    assert ratios["ratios"] == pytest.approx(
+        [c / b for b, c in zip(base["cpu_ms_runs"], change["cpu_ms_runs"])], rel=0.01)
+    assert ratios["ratio_p10"] <= ratios["ratio_median"] <= ratios["ratio_p90"]
 
 
 def test_verdict_counts_on_minimal_output_n1000():
@@ -98,3 +127,28 @@ def test_repeat_below_one_is_a_usage_error():
                "--repeat", "0")
     assert done.returncode == 2
     assert "--repeat must be at least 1" in done.stderr
+
+
+def test_one_pair_is_a_usage_error():
+    # the in-process suites time pairs, and one pair has no band
+    for suite in ("sweep", "verdict", "ingest", "generate"):
+        done = run(suite, "--base", "no-such-revision", "--out", os.devnull,
+                   "--repeat", "1")
+        assert done.returncode == 2
+        assert f"--repeat must be at least 2 for {suite}" in done.stderr
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git history")
+def test_in_process_suite_times_pairs(tmp_path):
+    # ingest is the quickest in-process suite: each instance is timed in
+    # one process of --repeat pairs, then counted once per side
+    out = tmp_path / "ingest.json"
+    done = run("ingest", "--base", "HEAD", "--out", str(out), "--repeat", "2")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(out.read_text())
+    assert result["repeat"] == 2
+    for row in result["instances"].values():
+        assert row["base"]["text"] == row["change"]["text"]
+        for label, part in row["paired"].items():
+            assert len(part["ratios"]) == 2
+            assert len(row["base"][label]["cpu_ms_runs"]) == 2

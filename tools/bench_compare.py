@@ -5,16 +5,27 @@ of instance generation or of a fresh CLI process.
 
 Runs every instance of SUITE on ``src/`` of git revision REV, extracted
 by ``git archive`` ("base"), and on the ``src/`` next to this script
-("change"): per side R timed fresh processes, the sides alternating,
-since on a shared machine one process can run a third faster than the
-next, then one counting process.  A timed process times each operation
-with GC paused: the median of a first call and as many more as fit in
-0.2 s of CPU, at most 50.  FILE gets, per instance and side, the
-instance's size and digest, the counts and, per operation, the median
-over the R processes (``cpu_ms``, in ms) and each one (``cpu_ms_runs``).
-The run exits 1 at the first instance whose sides differ in the
-instance or a compared field; the other counts are recorded for each
-side without a gate.
+("change"), timed and then counted in one process per side.  FILE gets,
+per instance and side, the instance's size and digest, the counts and,
+per operation, the median time (``cpu_ms``, in ms) and each run's
+(``cpu_ms_runs``).  The run exits 1 at the first instance whose sides
+differ in the instance or a compared field; the other counts are
+recorded for each side without a gate.
+
+The in-process suites (all but ``startup``) time both sides in one
+process per instance, since on a shared machine one process can run a
+third faster than the next, which hides changes of a few percent: the
+base's package is imported as ``vsbgraph_base`` next to ``vsbgraph``,
+each side builds the instance and, per operation, the two sides
+alternate in R pairs (R at least 2), the order in a pair alternating
+too.  A side's time in a pair is the least of 5 consecutive calls (of
+one call from 0.1 s up), since on a shared VM a call now and then reads
+a few ms more CPU time than its work takes.  A first pair of single
+calls is discarded, since it is slow on both sides.  ``cpu_ms_runs``
+holds the times of the R pairs, and the instance's ``paired`` entry
+holds, per operation, each pair's ratio change/base (``ratios``), their
+median (``ratio_median``) and their 10-90% band (``ratio_p10``,
+``ratio_p90``).
 
 ``sweep`` times ``minimal_k_vsb(g, 3)``, ``two_phase_3vsb(g)`` and the
 degree-only walk alone (``extraction._walk`` at k=3 in input order).
@@ -26,7 +37,7 @@ protected), and records the output edges and the calls of
 from 100000 whose 128 sampled arcs are already 3-vsb), which also get
 their median, ``generate(InstanceSpec(n, seed=1))`` at n = 100, 400 and
 1,000, and ``block_ring(67)`` from the tests, whose degree-only results
-fail their check, so both extractors fall back.  R=5 takes minutes.
+fail their check, so both extractors fall back.  R=5 takes a few minutes.
 
 ``verdict`` times ``is_k_vsb(g, 3)``, compares its witness, and records
 its ``_Table.count`` visits, its ``_disjoint_paths`` calls and its
@@ -36,8 +47,10 @@ on the near-misses at n = 50 and 100.  Instances: near-miss copies of
 ``generate(InstanceSpec(n, seed=1))`` in which vertex 7 keeps only its
 two highest in-neighbours (n = 50 with 800 initial arcs, as pinned in
 the tests, then n = 100, 200, 400); four sparse false inputs at
-n = 1,000, whose kept paths are few; and four true verdicts: the
-perfbench ``check`` instance ``generate(InstanceSpec(50, 800, 100000))``,
+n = 1,000, whose kept paths are few; the near-miss of the perfbench
+``check`` workload (``check_n50_near_miss``, witness {12, 13}); and
+four true verdicts: the perfbench ``check`` instance
+``generate(InstanceSpec(50, 800, 100000))``,
 ``generate(InstanceSpec(n, seed=1))`` at n = 200 and 1,000, and the
 sparse output ``minimal_k_vsb(g, 3).subgraph`` of the latter, whose
 test is the one a clean sweep makes of its result.  R=1 takes minutes,
@@ -63,7 +76,8 @@ space.  R=5 takes about a minute.
 starts one child, ``python -m vsbgraph check --k 3`` on the instance's
 edge-list file, or ``python -c "import vsbgraph"`` for the instance
 ``import_vsbgraph``, and records the child's CPU time (user plus system,
-``cpu_ms``) and its wall time (``wall_ms``); it compares the child's
+``cpu_ms``) and its wall time (``wall_ms``), the medians over R timed
+processes per side, the sides alternating; it compares the child's
 stdout and exit code.  Instances: ``import_vsbgraph``, the perfbench
 ``check`` instance and ``generate(InstanceSpec(1000, seed=1))``.  One
 child's CPU time spreads by tens of ms from run to run, so take R=15;
@@ -79,8 +93,10 @@ import inspect
 import json
 import os
 import platform
+import random
 import resource
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,46 +110,48 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-INNER_S = 0.2  # CPU seconds a timed process aims to spend per operation
+PAIR_CALLS, SLOW_MS = 5, 100  # calls per side in a pair, below SLOW_MS
 THIN = tuple(f"thin_{unit}" for unit in range(10))
 GROW = tuple(f"grow_{unit}" for unit in range(5))
 EXTRACTORS = ("minimal", "two_phase")
+SIDES = ("base", "change")
 
 
-def build(name: str):
-    """The instance called ``name``, from the vsbgraph on sys.path; None
-    for ``import_vsbgraph``, which has no graph."""
+def build(name: str, lib):
+    """The instance called ``name``, made with the vsbgraph package
+    ``lib``; None for ``import_vsbgraph``, which has no graph."""
     if name == "import_vsbgraph":
         return None
-    from vsbgraph import (
-        Digraph, InstanceSpec, generate, is_k_vsb, minimal_k_vsb, random_digraph)
-
     if name == "block_ring_67":
         sys.path.insert(0, str(ROOT / "tests"))
         from graphutil import block_ring
 
-        return block_ring(67)
-    spec = instance_spec(name)
+        ring = block_ring(67)
+        return lib.Digraph(ring.n, ring.edges())
+    if name == "check_n50_near_miss":
+        return check_near_miss(lib)
+    spec = instance_spec(name, lib)
     if spec is not None:
-        return generate(spec).graph
+        return lib.generate(spec).graph
     if name in THIN:
         seed, found = 100000, -1
         while True:
-            if is_k_vsb(random_digraph(InstanceSpec(16, 128, seed)), 3):
+            if lib.is_k_vsb(lib.random_digraph(lib.InstanceSpec(16, 128, seed)), 3):
                 found += 1
                 if f"thin_{found}" == name:
-                    return generate(InstanceSpec(16, 128, seed)).graph
+                    return lib.generate(lib.InstanceSpec(16, 128, seed)).graph
             seed += 1
     n = int(name.rpartition("_n")[2])
     if name.startswith("minimal_output_"):
-        return minimal_k_vsb(generate(InstanceSpec(n, seed=1)).graph, 3).subgraph
+        g = lib.generate(lib.InstanceSpec(n, seed=1)).graph
+        return lib.minimal_k_vsb(g, 3).subgraph
     if name.startswith("near_miss_"):
-        g = generate(InstanceSpec(n, 800 if n == 50 else None, 1)).graph
-        a, b = sorted(g.in_neighbors(7))[-2:]
-        return Digraph(n, [(x, y) for x, y in g.edges() if y != 7 or x in (a, b)])
+        g = lib.generate(lib.InstanceSpec(n, 800 if n == 50 else None, 1)).graph
+        a, b = sorted(g._in[7])[-2:]
+        return lib.Digraph(n, [(x, y) for x, y in g.edges() if y != 7 or x in (a, b)])
     ring = [(i, (i + 1) % n) for i in range(n)]
     path = [(i, i + 1) for i in range(n - 1)]
-    return Digraph(n, {
+    return lib.Digraph(n, {
         "directed_cycle": ring,
         "bidirected_cycle": ring + [(v, u) for u, v in ring],
         "directed_square_cycle": ring + [(i, (i + 2) % n) for i in range(n)],
@@ -141,11 +159,28 @@ def build(name: str):
     }[name.rpartition("_n")[0]])
 
 
-def instance_spec(name: str):
+def check_near_miss(lib):
+    """The near-miss copy of the perfbench ``check`` instance that
+    perfbench/run.py builds at its default seed: a seeded vertex v keeps
+    only its two highest in-neighbours a and b, which swaps of ids
+    renumber to 12 and 13, so the witness is {12, 13}."""
+    seed = 100000
+    g = lib.generate(lib.InstanceSpec(50, 800, seed)).graph
+    v = random.Random(seed).randrange(g.n)
+    a, b = sorted(g._in[v])[-2:]
+    new_id = list(range(g.n))
+    for old, target in zip((a, b), (12, 13)):
+        holder = new_id.index(target)
+        new_id[old], new_id[holder] = target, new_id[old]
+    return lib.Digraph(g.n, [
+        (new_id[x], new_id[y]) for x, y in g.edges() if y != v or x in (a, b)
+    ])
+
+
+def instance_spec(name: str, lib):
     """The InstanceSpec whose generated graph is the instance ``name``,
     or None for an instance built otherwise."""
-    from vsbgraph import InstanceSpec
-
+    InstanceSpec = lib.InstanceSpec
     if name in ("check_n50", "check_n50_commented"):
         return InstanceSpec(50, 800, 100000)
     if name in GROW:
@@ -170,9 +205,8 @@ def counting(tally: dict, key: str, fn):
     return counted
 
 
-def sweep_operations(g, name: str) -> dict:
-    from vsbgraph import extraction
-
+def sweep_operations(lib, g, name: str) -> dict:
+    extraction = lib.extraction
     # the walk took a required local flag before it read counts
     local = inspect.signature(extraction._walk).parameters["local"]
     flag = () if local.default is None else (False,)
@@ -181,16 +215,15 @@ def sweep_operations(g, name: str) -> dict:
             "walk": lambda: extraction._walk(g, 3, g.edges(), frozenset(), *flag)}
 
 
-def sweep_counts(g, name: str) -> dict:
+def sweep_counts(lib, g, name: str) -> dict:
     """Each extractor's stats and digest, with Digraph.remove_edge and
     restore_edge counted; the process ends after this, so the wrappers
     stay in place."""
-    from vsbgraph import Digraph, serialize_edge_list
-
+    Digraph = lib.Digraph
     tally = {"remove_edge": 0, "restore_edge": 0}
     for method in tally:
         setattr(Digraph, method, counting(tally, method, getattr(Digraph, method)))
-    operations, row = sweep_operations(g, name), {}
+    operations, row = sweep_operations(lib, g, name), {}
     for label in EXTRACTORS:
         tally.update(remove_edge=0, restore_edge=0)
         result = operations[label]()
@@ -201,24 +234,22 @@ def sweep_counts(g, name: str) -> dict:
             "remove_edge_calls": tally["remove_edge"],
             "restore_edge_calls": tally["restore_edge"],
             "removed": sha(repr(tuple(result.removed))),
-            "digest": sha(serialize_edge_list(result.subgraph)
+            "digest": sha(lib.serialize_edge_list(result.subgraph)
                           + repr(tuple(result.removed))
                           + repr(tuple(result.protected))),
         }
     return row
 
 
-def verdict_operations(g, name: str) -> dict:
-    from vsbgraph import connectivity
+def verdict_operations(lib, g, name: str) -> dict:
+    is_k_vsb = lib.connectivity.is_k_vsb
+    return {"is_k_vsb": lambda: is_k_vsb(g, 3)}
 
-    return {"is_k_vsb": lambda: connectivity.is_k_vsb(g, 3)}
 
-
-def verdict_counts(g, name: str) -> dict:
+def verdict_counts(lib, g, name: str) -> dict:
     """The witness, the counted table visits and _disjoint_paths calls and
     the tracemalloc peak of one is_k_vsb(g, 3); the wrappers stay."""
-    from vsbgraph import connectivity
-
+    connectivity = lib.connectivity
     # a first run, untraced, makes the allocations that only the first
     # call of a process makes
     connectivity.is_k_vsb(g, 3)
@@ -235,85 +266,75 @@ def verdict_counts(g, name: str) -> dict:
             "tracemalloc_peak_kb": round(peak / 1024, 1)}
 
 
-def ingest_text(g, name: str) -> str:
+def ingest_text(lib, g, name: str) -> str:
     """g's edge-list text; the ``_commented`` instance gets a comment
     line before every 100th line."""
-    from vsbgraph import serialize_edge_list
-
-    lines = serialize_edge_list(g).splitlines(keepends=True)
+    lines = lib.serialize_edge_list(g).splitlines(keepends=True)
     if name.endswith("_commented"):
         lines = [("# comment\n" if i % 100 == 0 else "") + line
                  for i, line in enumerate(lines)]
     return "".join(lines)
 
 
-def ingest_operations(g, name: str) -> dict:
-    from vsbgraph import Digraph, parse_edge_list
-
-    text, edges = ingest_text(g, name), g.edges()
+def ingest_operations(lib, g, name: str) -> dict:
+    Digraph, parse_edge_list = lib.Digraph, lib.parse_edge_list
+    text, edges = ingest_text(lib, g, name), g.edges()
     return {"parse_edge_list": lambda: parse_edge_list(text),
             "Digraph": lambda: Digraph(g.n, edges),
             "copy": g.copy}
 
 
-def ingest_counts(g, name: str) -> dict:
+def ingest_counts(lib, g, name: str) -> dict:
     """Digests of the text and of the graph parsed from it."""
-    from vsbgraph import parse_edge_list, serialize_edge_list
-
-    text = ingest_text(g, name)
+    text = ingest_text(lib, g, name)
     return {"text": sha(text),
-            "parsed": sha(serialize_edge_list(parse_edge_list(text)))}
+            "parsed": sha(lib.serialize_edge_list(lib.parse_edge_list(text)))}
 
 
-def startup_process(g, name: str) -> Callable[[], subprocess.CompletedProcess]:
+def startup_process(lib, g, name: str) -> Callable[[], subprocess.CompletedProcess]:
     """The fresh process the startup suite times, as a function that runs
     it once: ``import vsbgraph``, or ``check --k 3`` on g's edge-list file
     (a temporary file, deleted when this process exits)."""
     command = [sys.executable, "-c", "import vsbgraph"]
     if g is not None:
-        from vsbgraph import serialize_edge_list
-
         handle, path = tempfile.mkstemp(prefix=f"{name}_", suffix=".txt")
         atexit.register(os.unlink, path)
         with os.fdopen(handle, "w", encoding="ascii") as file:
-            file.write(serialize_edge_list(g))
+            file.write(lib.serialize_edge_list(g))
         command = [sys.executable, "-m", "vsbgraph", "check", "--k", "3",
                    "--in", path]
     return lambda: subprocess.run(command, capture_output=True, text=True)
 
 
-def startup_operations(g, name: str) -> dict:
-    return {"process": startup_process(g, name)}
+def startup_operations(lib, g, name: str) -> dict:
+    return {"process": startup_process(lib, g, name)}
 
 
-def startup_counts(g, name: str) -> dict:
+def startup_counts(lib, g, name: str) -> dict:
     """The child's stdout and exit code."""
-    done = startup_process(g, name)()
+    done = startup_process(lib, g, name)()
     return {"stdout": done.stdout, "returncode": done.returncode}
 
 
-def generate_operations(g, name: str) -> dict:
-    from vsbgraph import generate, random_digraph
-
-    spec = instance_spec(name)
+def generate_operations(lib, g, name: str) -> dict:
+    generate, random_digraph = lib.generate, lib.random_digraph
+    spec = instance_spec(name, lib)
     return {"random_digraph": lambda: random_digraph(spec),
             "generate": lambda: generate(spec)}
 
 
-def generate_counts(g, name: str) -> dict:
+def generate_counts(lib, g, name: str) -> dict:
     """The sample's digest, the growth count and each operation's
     tracemalloc peak (KB); building the instance made the allocations
     that only a process's first draw makes."""
-    from vsbgraph import serialize_edge_list
-
     row, results = {}, {}
-    for label, fn in generate_operations(g, name).items():
+    for label, fn in generate_operations(lib, g, name).items():
         tracemalloc.start()
         results[label] = fn()
         row[f"{label}_tracemalloc_peak_kb"] = round(
             tracemalloc.get_traced_memory()[1] / 1024, 1)
         tracemalloc.stop()
-    return {"sample": sha(serialize_edge_list(results["random_digraph"])),
+    return {"sample": sha(lib.serialize_edge_list(results["random_digraph"])),
             "edges_added_in_growth": results["generate"].edges_added_in_growth,
             **row}
 
@@ -326,15 +347,6 @@ def cpu_ms(fn) -> float:
         return (time.process_time() - start) * 1000
     finally:
         gc.enable()
-
-
-def in_process_ms(fn) -> dict:
-    """``cpu_ms``: the median CPU time of a first call and as many more as
-    fit in INNER_S, at most 50."""
-    times = [cpu_ms(fn)]
-    repeat = min(50, int(INNER_S * 1000 / max(times[0], 1e-3)))
-    times += [cpu_ms(fn) for _ in range(repeat)]
-    return {"cpu_ms": statistics.median(times)}
 
 
 def child_ms(fn) -> dict:
@@ -352,10 +364,12 @@ def child_ms(fn) -> dict:
 
 class Suite(NamedTuple):
     instances: list[str]
-    operations: Callable  # (g, name) -> {label: function to time}
-    counts: Callable  # (g, name) -> the counting process's fields
+    operations: Callable  # (lib, g, name) -> {label: function to time}
+    counts: Callable  # (lib, g, name) -> the counting process's fields
     compared: list[str]  # fields whose sides must agree
-    timer: Callable = in_process_ms  # function -> {metric: ms}
+    # function -> {metric: ms}, for a suite timed in fresh processes;
+    # None: the sides are timed in pairs in one process
+    timer: Callable | None = None
 
 
 SUITES = {
@@ -367,8 +381,8 @@ SUITES = {
     "verdict": Suite(["near_miss_n50", "near_miss_n100", "near_miss_n200",
                       "near_miss_n400", "directed_cycle_n1000",
                       "bidirected_cycle_n1000", "directed_square_cycle_n1000",
-                      "bidirected_path_n1000", "check_n50", "generated_n200",
-                      "generated_n1000", "minimal_output_n1000"],
+                      "bidirected_path_n1000", "check_n50", "check_n50_near_miss",
+                      "generated_n200", "generated_n1000", "minimal_output_n1000"],
                      verdict_operations, verdict_counts, ["witness"]),
     "ingest": Suite(["check_n50", "check_n50_commented", "generated_n1000"],
                     ingest_operations, ingest_counts, ["text", "parsed"]),
@@ -383,48 +397,110 @@ SUITES = {
 
 
 def measure(suite: str, name: str, counted: bool) -> dict:
-    """Time each operation of the suite on one instance, or count it."""
-    from vsbgraph import serialize_edge_list
+    """Count the suite's fields on one instance, or time each operation
+    with the suite's timer."""
+    import vsbgraph
 
     spec = SUITES[suite]
-    g = build(name)
+    g = build(name, vsbgraph)
     row: dict = {} if g is None else {
-        "n": g.n, "m": g.m, "instance": sha(serialize_edge_list(g))}
+        "n": g.n, "m": g.m, "instance": sha(vsbgraph.serialize_edge_list(g))}
     if counted:
-        return {**row, **spec.counts(g, name)}
-    for label, fn in spec.operations(g, name).items():
+        return {**row, **spec.counts(vsbgraph, g, name)}
+    for label, fn in spec.operations(vsbgraph, g, name).items():
         for metric, ms in spec.timer(fn).items():
             row.setdefault(metric, {})[label] = ms
     return row
 
 
-def run_side(suite: str, src: Path, name: str, counted: bool) -> dict:
-    command = [sys.executable, __file__, suite, "--measure", name,
-               "--counted", str(int(counted))]
+def paired(suite: str, name: str, pairs: int) -> dict:
+    """Both sides of one instance in one process, the base imported as
+    ``vsbgraph_base``: per operation, one pair that is discarded and then
+    ``pairs`` more, the order in a pair alternating.  A side's time in a
+    pair is the least of PAIR_CALLS consecutive calls, or one call where
+    the discarded pair took over SLOW_MS: on a shared VM a call now and
+    then reads several ms more CPU time than its work takes, and the
+    least of a few calls drops those reads.  Per side, the instance
+    digest and each operation's median ``cpu_ms`` and its runs; under
+    ``paired``, per operation, the ratios change/base of the pairs, their
+    median and their 10-90% band."""
+    import vsbgraph
+    import vsbgraph_base
+
+    libs = {"base": vsbgraph_base, "change": vsbgraph}
+    spec, operations, row = SUITES[suite], {}, {}
+    for side, lib in libs.items():
+        g = build(name, lib)
+        row[side] = {"instance": sha(lib.serialize_edge_list(g))}
+        operations[side] = spec.operations(lib, g, name)
+    row["paired"] = {}
+    for label in operations["change"]:
+        fns = {side: operations[side][label] for side in SIDES}
+        calls = 1 if max(cpu_ms(fn) for fn in fns.values()) > SLOW_MS else PAIR_CALLS
+        times: dict[str, list[float]] = {side: [] for side in SIDES}
+        for i in range(pairs):
+            for side in SIDES[:: 1 if i % 2 else -1]:
+                times[side].append(min(cpu_ms(fns[side]) for _ in range(calls)))
+        for side in SIDES:
+            kept = [round(t, 3) for t in times[side]]
+            row[side][label] = {"cpu_ms": round(statistics.median(kept), 3),
+                                "cpu_ms_runs": kept}
+        ratios = [change / base for base, change in zip(times["base"], times["change"])]
+        p10, *_, p90 = statistics.quantiles(ratios, n=10, method="inclusive")
+        row["paired"][label] = {
+            "ratio_median": round(statistics.median(ratios), 4),
+            "ratio_p10": round(p10, 4), "ratio_p90": round(p90, 4),
+            "ratios": [round(r, 4) for r in ratios]}
+    return row
+
+
+def run_side(suite: str, pythonpath: str, name: str, *flags: str) -> dict:
+    command = [sys.executable, __file__, suite, "--measure", name, *flags]
     return json.loads(subprocess.run(
-        command, env=dict(os.environ, PYTHONPATH=str(src)),
+        command, env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True, text=True, check=True).stdout)
 
 
-def compare(suite: str, sides: dict[str, Path], name: str, repeat: int) -> dict:
-    """Both sides of one instance: ``repeat`` timed processes each, the
-    order alternating, then one counting process each."""
-    timed: dict[str, list[dict]] = {side: [] for side in sides}
+def timed_sides(suite: str, paths: dict[str, str], name: str, repeat: int) -> dict:
+    """Per side, the instance digest and, per operation, the median of
+    ``repeat`` timed processes and each one, the order alternating; for a
+    suite with a timer."""
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(repeat):
-        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-            timed[side].append(run_side(suite, sides[side], name, False))
-    row = {}
-    for side, runs in timed.items():
-        entry = run_side(suite, sides[side], name, True)
-        if {run.get("instance") for run in runs} != {entry.get("instance")}:
+        for side in SIDES[:: 1 if i % 2 == 0 else -1]:
+            runs[side].append(run_side(suite, paths[side], name))
+    timed = {}
+    for side, side_runs in runs.items():
+        instances = {run.get("instance") for run in side_runs}
+        if len(instances) > 1:
             raise SystemExit(f"{name}: {side} built different instances")
+        entry = timed[side] = {"instance": instances.pop()}
         for metric in ("cpu_ms", "wall_ms"):
-            for label in runs[0].get(metric, ()):
-                times = [run[metric][label] for run in runs]
-                part = entry.setdefault(label, {})
-                part[metric] = round(statistics.median(times), 3)
-                part[f"{metric}_runs"] = [round(t, 3) for t in times]
-        row[side] = entry
+            for label in side_runs[0].get(metric, ()):
+                times = [run[metric][label] for run in side_runs]
+                entry[label] = {**entry.get(label, {}),
+                                metric: round(statistics.median(times), 3),
+                                f"{metric}_runs": [round(t, 3) for t in times]}
+    return timed
+
+
+def compare(suite: str, paths: dict[str, str], name: str, repeat: int) -> dict:
+    """Both sides of one instance: timed in one process of ``repeat``
+    pairs (:func:`paired`), or in ``repeat`` processes each if the suite
+    has a timer (:func:`timed_sides`), then counted in one process each."""
+    if SUITES[suite].timer is None:
+        timed = run_side(suite, paths["paired"], name, "--repeat", str(repeat))
+    else:
+        timed = timed_sides(suite, paths, name, repeat)
+    row = {}
+    for side in SIDES:
+        entry = row[side] = run_side(suite, paths[side], name, "--counted", "1")
+        if timed[side].pop("instance") != entry.get("instance"):
+            raise SystemExit(f"{name}: {side} built different instances")
+        for label, part in timed[side].items():
+            entry[label] = {**entry.get(label, {}), **part}
+    if "paired" in timed:
+        row["paired"] = timed["paired"]
     return row
 
 
@@ -438,14 +514,21 @@ def main() -> int:
     parser.add_argument("suite", choices=SUITES)
     parser.add_argument("--base", help="git revision to compare against")
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timed pairs, or for startup timed processes per side")
     parser.add_argument("--measure", help=argparse.SUPPRESS)
     parser.add_argument("--counted", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.repeat < 2 and not SUITES[args.suite].timer:
+        parser.error(f"--repeat must be at least 2 for {args.suite}: one pair has no band")
     if args.measure:
-        print(json.dumps(measure(args.suite, args.measure, bool(args.counted))))
+        if args.counted or SUITES[args.suite].timer:
+            row = measure(args.suite, args.measure, bool(args.counted))
+        else:
+            row = paired(args.suite, args.measure, args.repeat)
+        print(json.dumps(row))
         return 0
     if not (args.base and args.out):
         parser.error("--base and --out are required")
@@ -455,19 +538,25 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=BytesIO(git("archive", base_rev, "src"))) as tar:
             tar.extractall(tmp, filter="data")
-        sides = {"base": Path(tmp) / "src", "change": ROOT / "src"}
+        # the base package again, under a name of its own, for paired()
+        base_src, change_src = Path(tmp) / "src", ROOT / "src"
+        shutil.copytree(base_src / "vsbgraph", Path(tmp) / "paired" / "vsbgraph_base")
+        paths = {"base": str(base_src), "change": str(change_src),
+                 "paired": os.pathsep.join([str(change_src), str(Path(tmp) / "paired")])}
         for name in instances:
-            row = rows[name] = compare(args.suite, sides, name, args.repeat)
+            row = rows[name] = compare(args.suite, paths, name, args.repeat)
             moved = [path for path in ["instance", *compared]
                      if len({reduce(dict.get, path.split("."), row[side])
-                             for side in sides}) > 1]
+                             for side in SIDES}) > 1]
             if moved:
                 print(f"{name}: {', '.join(moved)} differ: {row}", file=sys.stderr)
                 return 1
             print(name, {side: {label: part["cpu_ms"]
                                 for label, part in row[side].items()
-                                if isinstance(part, dict)}
-                         for side in sides}, file=sys.stderr)
+                                if isinstance(part, dict) and "cpu_ms" in part}
+                         for side in SIDES},
+                  {label: part["ratio_median"]
+                   for label, part in row.get("paired", {}).items()}, file=sys.stderr)
     result = {
         "command": shlex.join(["python3", "tools/bench_compare.py", *sys.argv[1:]]),
         "environment": {
@@ -485,7 +574,7 @@ def main() -> int:
         result["thin_median_cpu_ms"] = {
             label: {side: round(statistics.median(
                 rows[name][side][label]["cpu_ms"] for name in THIN), 3)
-                for side in sides}
+                for side in SIDES}
             for label in (*EXTRACTORS, "walk")
         }
     result["instances"] = rows
