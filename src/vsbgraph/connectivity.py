@@ -29,9 +29,9 @@ counts on g itself (:class:`_Table`), and each visits and recounts only
 the items its deleted vertices can cut (:func:`_connectivity_at_least`).
 A count the table makes on g itself keeps one path beyond its level
 when the free passes find it, which is what every later test of a
-residual asks of g, so those tests rarely recount.  The extractors'
-local removability test (:func:`_stays_k_vsb`) makes at most two counts
-with the same primitive.
+residual asks of g, so those tests skip the fans that have it.  The
+extractors' local removability test (:func:`_stays_k_vsb`) makes at
+most two counts with the same primitive.
 """
 from __future__ import annotations
 
@@ -108,14 +108,19 @@ class _Table:
     most ``keep`` times the cap; longer paths, as in sparse graphs, are
     dropped, so the table holds O(cap) vertices per item.
 
+    ``settled`` is the highest K at which Even's test on g itself passed
+    with this table, so every fan into t >= settled has a count of at
+    least settled here (0 if none).  A fan counted above ``settled``
+    holds a spare path, so no test that reads the index can fail it.
+
     The fans are indexed at the first :meth:`fans` call, which only a
-    test of a residual makes: each fan counted so far is listed in
-    ``on`` (None until then) under every vertex of its kept paths, or
-    in ``loose`` if its paths were dropped, and from then on each count
-    of a fan lists it again; a fan may be listed twice, or under a
-    vertex its paths have since left.  ``settled`` is the highest K at
-    which Even's test on g itself passed with this table, so every fan
-    into t >= settled has a count of at least settled here (0 if none).
+    test of a residual makes: each fan counted so far, up to
+    ``settled``, is listed in ``on`` (None until then) under every
+    vertex of its kept paths, or in ``loose`` if its paths were dropped,
+    and from then on each such count of a fan lists it again; a fan may
+    be listed twice, or under a vertex its paths have since left.  When
+    ``settled`` rises, the index is dropped, and the next :meth:`fans`
+    call lists the fans again.
     """
 
     counts: dict[Item, Count] = field(default_factory=dict)
@@ -163,7 +168,7 @@ class _Table:
         if len(paths) > self.keep * need:
             paths = None
         self.counts[item] = count, need <= count < len(starts), paths
-        if not own and self.on is not None:
+        if not own and self.on is not None and count <= self.settled:
             self._list(item, paths)
         return count, _cut(paths, blocked)
 
@@ -176,16 +181,20 @@ class _Table:
                 self.on.setdefault(v, []).append(fan)
 
     def fans(self, first: int, blocked: tuple[int, ...], sides: int) -> list[Item]:
-        """The fans that a test at a level K <= settled must visit, in
-        Even's order, where ``first`` is its (K+1)-th survivor: those into
-        survivors below ``settled``, those listed under a blocked vertex
-        and the loose ones, but none into a blocked vertex or below
-        ``first`` (proof in :func:`_connectivity_at_least`).  The first
-        call indexes the fans counted so far."""
+        """The fans that a test at a level K <= settled with a blocked set
+        P, K+|P| <= settled+1, must visit, in Even's order, where
+        ``first`` is its (K+1)-th survivor: those into survivors below
+        ``settled``, and of those counted up to ``settled`` the ones
+        listed under a blocked vertex and the loose ones, but none into a
+        blocked vertex or below ``first``.  A fan counted at c >= settled+1
+        is left out, since c >= K+|P| and P cuts at most |P| of its
+        paths (proof in :func:`_connectivity_at_least`).  The first call
+        after the table was made or ``settled`` rose indexes the fans
+        counted so far."""
         if self.on is None:
             self.on = {}
-            for item, (_, _, paths) in self.counts.items():
-                if not item[2]:
+            for item, (count, _, paths) in self.counts.items():
+                if not item[2] and count <= self.settled:
                     self._list(item, paths)
         visit = self.loose.union(
             *(self.on.get(v, ()) for v in blocked),
@@ -204,6 +213,8 @@ def _cut(paths: dict[int, int] | None, blocked: tuple[int, ...]) -> int:
     """How many of a count's paths the blocked vertices can cut: one per
     blocked vertex on them, or one per blocked vertex where the paths
     were not kept."""
+    if not blocked:
+        return 0
     if paths is None:
         return len(blocked)
     return sum(map(paths.__contains__, blocked))
@@ -256,7 +267,11 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     (:class:`_Table`), and a prefix or leaf test visits and recounts
     only the items that P can cut (:func:`_connectivity_at_least`); so
     a witness that comes late in the order costs neither a full test
-    nor a walk over every item per first vertex before it.
+    nor a walk over every item per first vertex before it.  Such a test
+    asks g for K+|P| paths per item, one more than the passing size
+    test at s asked, and most fans were counted with that spare path: a
+    count c >= K+|P| loses at most |P| paths to P (h <= |P|), so c-h >=
+    K, and those fans are not visited at all.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
@@ -414,24 +429,35 @@ def _connectivity_at_least(
       in the residual too.
 
     Once Even's test at some level s >= K has passed on g itself with
-    this table (``table.settled``), the test visits only the pairs, the
-    fans into survivors below s, the fans the table lists under a vertex
-    of P and the fans whose paths it dropped (:meth:`_Table.fans`), in
-    the order of the full walk.  That list is taken before the walk, and
-    a count changes the listing of its own item only, so a fan left out
-    is neither counted nor relisted during the walk.  Every such fan
-    passes without a visit: it is a fan into some t >= s, so the passing
-    test at level s counted it, and its count c on g is at least s >= K
-    (counts on g only grow, since a recount replaces only a count below
-    its new cap); its last count kept its paths and listed it under each
-    of their vertices, none of which is in P, so h = 0 and c-h >= K.  The verdict is the full walk's, and
-    so is every count made before the first failing item.
+    this table (``table.settled``), a test that asks for K+|P| <= s+1
+    paths on g, as every prefix and leaf test of :func:`is_k_vsb`'s
+    witness search does, visits only the pairs, the fans into survivors
+    below s and, of the fans whose count on g is at most s, those the
+    table lists under a vertex of P and those whose paths it dropped
+    (:meth:`_Table.fans`), in the order of the full walk.  That list is
+    taken before the walk, and a count changes the listing of its own
+    item only, so a fan left out is neither counted nor relisted during
+    the walk.  Every such fan passes without a visit.  It is a fan into
+    some t >= s, so the passing test at level s counted it, and its
+    count c on g is at least s >= K (counts on g only grow, since a
+    recount replaces only a count below its new cap).  If c > s, it
+    holds a spare path: c >= s+1 >= K+|P|, and h <= |P|, so c-h >= K.
+    Otherwise its last count kept its paths and listed it under each of
+    their vertices (s has not risen since, or the index would have been
+    dropped and made again from the counts), none of which is in P, so
+    h = 0 and c-h >= K.  The verdict is the full walk's, and so is every
+    count made before the first failing item.  Any other test with a
+    table visits every fan.
     """
     # the pairs and the fans need only the first K+1 survivors
     alive = [v for v in range(min(n, K + 1 + len(blocked))) if v not in blocked]
     first, sides = alive[K], len(orientations)
     fans: Iterable[Item]
-    if table is not None and K <= table.settled:
+    if (
+        table is not None
+        and K <= table.settled
+        and K + len(blocked) <= table.settled + 1
+    ):
         fans = table.fans(first, blocked, sides)
     else:
         # made as walked, so a test that stops at an early item makes no
@@ -453,8 +479,10 @@ def _connectivity_at_least(
         t, _, own = item
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False
-    if table is not None and not blocked:
-        table.settled = max(table.settled, K)
+    if table is not None and not blocked and K > table.settled:
+        # the index lists only fans with counts up to settled
+        table.settled, table.on = K, None
+        table.loose.clear()
     return True
 
 

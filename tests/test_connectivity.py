@@ -1,7 +1,9 @@
 """Connectivity predicates: verdicts, witnesses, and the k-level hierarchy."""
+import importlib.util
 import random
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,6 +23,7 @@ from vsbgraph import (
     minimal_k_vsb,
     two_phase_3vsb,
 )
+import vsbgraph
 from vsbgraph import connectivity, extraction
 from vsbgraph.connectivity import (
     ARTICULATION_POINT,
@@ -628,16 +631,18 @@ def recorded_tables(g: Digraph, k: int, base=_Table):
 
 
 def assert_index_holds(table: _Table) -> None:
-    """Before the first _Table.fans call nothing is listed; from then on
-    every fan with kept paths is listed under each vertex of them, every
-    fan whose paths were dropped is loose, and no pair is listed."""
+    """Before the first _Table.fans call, or since settled last rose,
+    nothing is listed; from then on every fan counted at most settled
+    with kept paths is listed under each vertex of them, every such fan
+    whose paths were dropped is loose, and no pair is listed.  A fan
+    counted above settled holds a spare path and may be unlisted."""
     if table.on is None:
         assert not table.loose
         return
     listed = {v: set(fans) for v, fans in table.on.items()}
-    for item, (_, _, paths) in table.counts.items():
-        if item[2]:
-            continue  # a pair
+    for item, (count, _, paths) in table.counts.items():
+        if item[2] or count > table.settled:
+            continue  # a pair, or a fan with a spare path
         if paths is None:
             assert item in table.loose, item
         else:
@@ -663,6 +668,15 @@ def counted_is_k_vsb(monkeypatch, g: Digraph, k: int):
     monkeypatch.setattr(connectivity, "_disjoint_paths", counting_paths)
     monkeypatch.setattr(_Table, "count", counting_visits)
     return is_k_vsb(g, k), len(calls), len(visits)
+
+
+def load_bench_compare():
+    """tools/bench_compare.py as a module, for the instances it builds."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_compare", Path(__file__).resolve().parents[1] / "tools" / "bench_compare.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def own_counter():
@@ -1282,19 +1296,117 @@ class TestMengerVerdict:
             skipped += assert_visits_sound(g, 3, (_Table(), _Table()))
         assert skipped > 1000
 
+    def test_index_follows_a_rising_settled(self):
+        # an index made at settled = s leaves out the fans counted at s+1;
+        # once a passing test raises settled to s+1, one deleted vertex
+        # can cut such a fan below the level, so the index is made again.
+        # A level-1 pass, an index, a level-2 pass, then level-2 tests
+        # with one vertex blocked, each checked against the enumeration
+        rng = random.Random(26)
+        graphs = [near_miss(complete_bidirected(8), 7), block_ring(3)]
+        while len(graphs) < 8:
+            n = rng.randrange(7, 11)
+            g = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                            if u != v and rng.random() < 0.7])
+            v = rng.randrange(n // 2, n)
+            if len(g._in[v]) >= 2:
+                g = near_miss(g, v)
+                if first_failing_set(g, 2) is None:
+                    graphs.append(g)
+        failing = 0
+        for g in graphs:
+            for base in (_Table, _Pathless):
+                tables = (base(), base())
+                assert _vsb_at_least(g, 1, (), tables)
+                for table, sides in zip(tables, (2, 1)):
+                    table.fans(g.n, (), sides)
+                    assert table.on is not None
+                assert _vsb_at_least(g, 2, (), tables)
+                assert [table.settled for table in tables] == [2, 3]
+                for x in range(g.n):
+                    passes = first_failing_set(g, 2, (x,)) is None
+                    assert _vsb_at_least(g, 2, (x,), tables) == passes, (
+                        g.edges(), x)
+                    failing += not passes
+                for table in tables:
+                    assert_index_holds(table)
+        assert failing >= 10
+
+    def test_tests_beyond_the_spare_path_visit_every_fan(self, monkeypatch):
+        # a spare path covers one blocked vertex beyond the settled level
+        # s; a test at level K <= s that asks g for K+|P| > s+1 paths walks
+        # every fan of the residual through the table, as a test above s
+        # does, while one at K+|P| = s+1 visits only the fans it can cut:
+        # none here, since every fan of the complete graph has a spare path
+        n = 8
+        g = complete_bidirected(n)
+        tables = (_Table(), _Table())
+        assert _vsb_at_least(g, 2, (), tables)
+        assert [table.settled for table in tables] == [2, 3]
+        visits = []
+        count = _Table.count
+
+        def recording(table, item, *args):
+            if not item[2]:
+                visits.append((tables.index(table), item))
+            return count(table, item, *args)
+
+        monkeypatch.setattr(_Table, "count", recording)
+        for K, blocked, walks in (
+            (1, (0, 1), False),
+            (1, (0, 1, 2), True),
+            (2, (0, 1), True),
+            (1, (3, 5, 6, 7), True),
+        ):
+            visits.clear()
+            assert first_failing_set(g, K, blocked) is None
+            assert _vsb_at_least(g, K, blocked, tables)
+            survivors = [v for v in range(n) if v not in blocked]
+            every = {
+                (0, (t, side, ())) for t in survivors[K:] for side in (0, 1)
+            } | {(1, (t, 0, ())) for t in survivors[K + 1:]}
+            assert set(visits) == (every if walks else set()), (K, blocked)
+
+    def test_prefix_tests_visit_no_spare_fan(self, monkeypatch):
+        # no prefix or leaf test of the witness search visits a fan whose
+        # count on g is above settled: it asks K+|P| <= settled+1 paths of
+        # g, and its blocked vertices cut at most |P| of them.  On the
+        # perfbench check near-miss, 93 of the directed table's 96 fans
+        # and 46 of the undirected table's 47 hold such a spare path
+        tool = load_bench_compare()
+        count = _Table.count
+        visited = []
+
+        def recording(table, item, reverse, starts, K, blocked):
+            if blocked and not item[2]:
+                known = table.counts.get(item, (0,))[0]
+                visited.append(known <= table.settled)
+            return count(table, item, reverse, starts, K, blocked)
+
+        monkeypatch.setattr(_Table, "count", recording)
+        for g, cut in (
+            (tool.build("check_n50_near_miss", vsbgraph), (12, 13)),
+            (near_miss(generate(InstanceSpec(50, 800, 1)).graph, 7), (45, 48)),
+            (near_miss(generate(InstanceSpec(100, seed=1)).graph, 7), (78, 87)),
+        ):
+            visited.clear()
+            assert is_k_vsb(g, 3).witness == Witness(VERTEX_CUT, cut)
+            assert visited and all(visited), cut
+
     def test_near_miss_counts_once(self, monkeypatch):
         # the n=50 near-miss of tests/test_cli.py: with one full Even's test
         # per prefix and leaf, is_k_vsb(near, 3) made 7,143 path counts;
         # walking the whole shared table in each test, it made 327 and
         # visited the table 6,981 times.  The indexed table visited it 876
         # times.  With the two-arc paths in the table's counts and a spare
-        # path on g, it makes 183 counts and 885 visits; both numbers are
-        # exact, since a search that found other paths would keep other
-        # paths and visit or recount other items
+        # path on g, it made 183 counts and 885 visits; leaving the fans
+        # with a spare path out of the index, it makes 183 and 396.  Both
+        # numbers are exact, since a search that found other paths would
+        # keep other paths and visit or recount other items
         near = near_miss(generate(InstanceSpec(50, 800, 1)).graph, 7)
         report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
         assert report.witness == Witness(VERTEX_CUT, (45, 48))
-        assert (calls, visits) == (183, 885)
+        assert (calls, visits) == (183, 396)
 
     def test_true_verdict_counts(self, monkeypatch):
         # the true verdict of the perfbench check instance: Even's test at
@@ -1309,11 +1421,12 @@ class TestMengerVerdict:
         # walk over the whole shared table made 628 path counts and 25,662
         # table visits, and the indexed table 628 and 1,786.  With the
         # two-arc paths in the table's counts and a spare path on g, it
-        # makes exactly 334 counts and 1,817 visits
+        # made 334 counts and 1,817 visits, and with the fans that hold a
+        # spare path left out of the index it makes exactly 334 and 742
         near = near_miss(generate(InstanceSpec(100, seed=1)).graph, 7)
         report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
         assert report.witness == Witness(VERTEX_CUT, (78, 87))
-        assert (calls, visits) == (334, 1817)
+        assert (calls, visits) == (334, 742)
 
     @pytest.mark.parametrize("n, cut", [(200, (171, 187)), (400, (378, 390))])
     def test_late_witness_at_scale(self, n, cut):
