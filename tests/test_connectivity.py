@@ -31,7 +31,10 @@ from vsbgraph.connectivity import (
     VERTEX_CUT,
     _articulation_vertices,
     _Table,
+    _connectivity_at_least,
     _disjoint_paths,
+    _flat_dominators,
+    _orientations,
     _search_miss,
     _stays_k_vsb,
     _strong_biconnectivity_witness,
@@ -520,6 +523,15 @@ def first_failing_set(g: Digraph, k: int, blocked=()) -> tuple[int, ...] | None:
             if _strong_biconnectivity_witness(g, tuple(blocked) + subset):
                 return subset
     return None
+
+
+def even_vsb_at_least(g: Digraph, k: int) -> bool:
+    """_vsb_at_least(g, k, ()) with both halves on Even's test, as every
+    test of g itself ran before level 2 took dominators."""
+    return _connectivity_at_least(g.n, _orientations(g, True), k, ()) and (
+        g.n == k + 1
+        or _connectivity_at_least(g.n, _orientations(g, False), k + 1, ())
+    )
 
 
 class _Pathless(_Table):
@@ -1483,7 +1495,7 @@ class TestMengerVerdict:
         ):
             searches.clear()
             for K in levels:
-                _vsb_at_least(g, K, ())
+                even_vsb_at_least(g, K)
             alone = len(searches)
             searches.clear()
             sized.clear()
@@ -1547,3 +1559,114 @@ class TestMengerVerdict:
                 h.remove_edge(u, v)
                 report = is_k_vsb(h, k)
                 assert report.witness == Witness(VERTEX_CUT, first_failing_set(h, k))
+
+
+def square_cycle(n: int) -> Digraph:
+    """The directed square of a cycle: arcs i -> i+1 and i -> i+2 mod n."""
+    return Digraph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+
+
+def bidirected(arcs) -> list[tuple[int, int]]:
+    return [*arcs, *((v, u) for u, v in arcs)]
+
+
+class TestDominatorRoute:
+    """Verdict-only level-2 tests of sparse graphs decide their directed
+    half with dominator trees, and agree with Even's test."""
+
+    @staticmethod
+    def routed_directed_half(g: Digraph) -> tuple[bool, bool]:
+        """The directed half of _vsb_at_least(g, 2, ()) and whether the
+        dominators decided it: Even's test is replaced by one that passes
+        and records the views it is asked about, so only the directed
+        half is decided for real, and only if dominators decide it."""
+        views = []
+
+        def passing(n, orientations, *args):
+            views.append(len(orientations))
+            return True
+
+        with mock.patch.object(connectivity, "_connectivity_at_least", passing):
+            verdict = _vsb_at_least(g, 2, ())
+        # Even's test has two orientations on the directed view, one on
+        # the undirected
+        assert views in ([], [1], [2], [2, 1]), views
+        return verdict, 2 not in views
+
+    def assert_agrees(self, g: Digraph) -> bool:
+        """Route, directed half and verdict on g against Even's test and
+        the oracle; returns Even's directed half."""
+        directed, routed = self.routed_directed_half(g)
+        assert routed == (g.m <= 3 * g.n), (g.edges(), routed)
+        even = _connectivity_at_least(g.n, _orientations(g, True), 2, ())
+        assert directed == even or not routed, g.edges()
+        verdict = _vsb_at_least(g, 2, ())
+        assert verdict == even_vsb_at_least(g, 2), g.edges()
+        assert verdict == oracle_k_vsb(g, 2), g.edges()
+        return even
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(min_n=3, max_n=9))
+    def test_agrees_with_even_and_oracle(self, g):
+        self.assert_agrees(g)
+
+    def test_fixed_graphs(self):
+        # coverage that does not hang on the hypothesis seed: each case
+        # is (graph, directed half of level 2), with both sides of the
+        # density gate
+        triangles = Digraph(5, bidirected(
+            [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]))
+        cases = [
+            # both dominator trees are flat, but 0 separates the triangles
+            (triangles, False),
+            (complete_bidirected(3), True),
+            (directed_cycle(8), False),
+            (directed_path(9), False),
+            (Digraph(8, bidirected([(i, (i + 1) % 8) for i in range(8)])), True),
+            (square_cycle(8), True),
+            # m > 3n: Even's test decides
+            (complete_bidirected(8), True),
+            # 7 keeps one in-arc
+            (Digraph(8, [(u, v) for u, v in complete_bidirected(8).edges()
+                         if v != 7 or u == 6]), False),
+        ]
+        assert _flat_dominators(5, triangles._out, triangles._in)
+        assert _flat_dominators(5, triangles._in, triangles._out)
+        for g, directed in cases:
+            assert self.assert_agrees(g) == directed, g.edges()
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(min_n=1, max_n=9))
+    def test_flat_dominators_by_deletion(self, g):
+        # 0 is the immediate dominator of every other vertex exactly when
+        # every vertex is reached from 0, also after deleting any vertex
+        # but 0, along the arcs and along their reverses
+        for succ, pred in ((g._out, g._in), (g._in, g._out)):
+            flat = all(
+                _search_miss(g.n, succ, 0, blocked) is None
+                for blocked in [(), *((v,) for v in range(1, g.n))]
+            )
+            assert _flat_dominators(g.n, succ, pred) == flat, g.edges()
+
+    def test_sparse_level_two_searches_no_directed_view(self, monkeypatch):
+        # a guard on counts, not time: on sparse graphs a verdict-only
+        # level-2 test counts no path along one orientation of the arcs,
+        # while on generated n=100 (m = 16n) Even's test still does
+        n = 300
+        arcs = [(i, i + 1) for i in range(n - 1)]
+        views = []
+        disjoint_paths = connectivity._disjoint_paths
+
+        def counting(reverse, *args):
+            views.append(len(reverse))
+            return disjoint_paths(reverse, *args)
+
+        monkeypatch.setattr(connectivity, "_disjoint_paths", counting)
+        for g, verdict in (
+            (Digraph(n, bidirected(arcs)), False),
+            (square_cycle(n), True),
+            (generate(InstanceSpec(100, seed=1)).graph, True),
+        ):
+            views.clear()
+            assert _vsb_at_least(g, 2, ()) == verdict
+            assert (1 in views) == (g.m > 3 * g.n), (g.m, views.count(1))
