@@ -1576,10 +1576,9 @@ class TestDominatorRoute:
 
     @staticmethod
     def routed_directed_half(g: Digraph) -> tuple[bool, bool]:
-        """The directed half of _vsb_at_least(g, 2, ()) and whether the
-        dominators decided it: Even's test is replaced by one that passes
-        and records the views it is asked about, so only the directed
-        half is decided for real, and only if dominators decide it."""
+        """_vsb_at_least(g, 2, ()) with Even's test replaced by one that
+        passes, and whether the dominators decided the directed half; if
+        they did, the verdict is theirs."""
         views = []
 
         def passing(n, orientations, *args):
@@ -1611,8 +1610,8 @@ class TestDominatorRoute:
         self.assert_agrees(g)
 
     def test_fixed_graphs(self):
-        # coverage that does not hang on the hypothesis seed: each case
-        # is (graph, directed half of level 2), with both sides of the
+        # coverage that does not depend on the hypothesis seed: each case
+        # is (graph, directed half of level 2), on both sides of the
         # density gate
         triangles = Digraph(5, bidirected(
             [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]))
