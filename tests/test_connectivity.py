@@ -526,8 +526,8 @@ def first_failing_set(g: Digraph, k: int, blocked=()) -> tuple[int, ...] | None:
 
 
 def even_vsb_at_least(g: Digraph, k: int) -> bool:
-    """_vsb_at_least(g, k, ()) with both halves on Even's test, as every
-    test of g itself ran before level 2 took dominators."""
+    """_vsb_at_least(g, k, ()) decided by Even's test on both halves,
+    never by dominators."""
     return _connectivity_at_least(g.n, _orientations(g, True), k, ()) and (
         g.n == k + 1
         or _connectivity_at_least(g.n, _orientations(g, False), k + 1, ())
@@ -1619,11 +1619,17 @@ class TestDominatorRoute:
             # both dominator trees are flat, but 0 separates the triangles
             (triangles, False),
             (complete_bidirected(3), True),
+            # the tree along the arcs is flat and g-0 is strongly
+            # connected, but every path into 0 runs through 3
+            (Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 0),
+                         (3, 1), (3, 2)]), False),
             (directed_cycle(8), False),
             (directed_path(9), False),
             (Digraph(8, bidirected([(i, (i + 1) % 8) for i in range(8)])), True),
             (square_cycle(8), True),
-            # m > 3n: Even's test decides
+            # m = 3n, on the gate; then m = 4n and above: Even's test decides
+            (complete_bidirected(4), True),
+            (complete_bidirected(5), True),
             (complete_bidirected(8), True),
             # 7 keeps one in-arc
             (Digraph(8, [(u, v) for u, v in complete_bidirected(8).edges()
