@@ -818,12 +818,22 @@ def _flat_dominators(n: int, succ: list[set[int]], pred: list[set[int]]) -> bool
     dominator of every other one: no vertex but 0 lies on every path from
     0 to another.  ``pred`` holds the same arcs reversed.
 
-    Lengauer and Tarjan's simple algorithm (TOPLAS 1979), O(m log n), on
-    depth-first preorder numbers (0 for vertex 0): the semidominators in
-    reverse preorder, each minimum read by ``evaluate`` over a forest of
-    the vertices done so far, with iterative path compression; then the
-    immediate dominators in preorder.  It stops at once if a vertex is
-    not reached.
+    On depth-first preorder numbers (0 for vertex 0), the tree is flat
+    exactly when no vertex w has a tree parent p != 0 with sdom(w) = p,
+    so only the semidominators of Lengauer and Tarjan's simple algorithm
+    (TOPLAS 1979) are computed, in O(m log n): in reverse preorder, each
+    minimum read by ``evaluate`` over a forest of the vertices done so
+    far, with iterative path compression.  It stops at once if a vertex
+    is not reached or breaks the rule.  Proof, by their Corollary 1: for
+    u of least sdom on the tree path sdom(w) ->+ u ->* w, idom(w) is
+    sdom(w) if sdom(u) = sdom(w), else idom(u).  If sdom(w) = p, w is
+    the only vertex on that path, so idom(w) = p != 0.  Conversely, let
+    no vertex break the rule, and take w in preorder, with idom 0 for
+    every vertex before it.  If sdom(w) = 0, idom(w) = 0 either way.
+    Otherwise let c be the child of sdom(w) on the tree path to w: c != w
+    by the rule, and sdom(c) <= parent(c) = sdom(w), so by the rule
+    sdom(c) < sdom(w).  Hence u is a proper ancestor of w and idom(w) =
+    idom(u) = 0.
     """
     num = [-1] * n
     vertex: list[int] = []  # by preorder number
@@ -846,8 +856,6 @@ def _flat_dominators(n: int, succ: list[set[int]], pred: list[set[int]]) -> bool
     semi = list(range(n))
     label = semi[:]
     ancestor = [-1] * n
-    idom = [0] * n
-    bucket: list[list[int]] = [[] for _ in range(n)]
 
     def evaluate(v: int) -> int:
         # the vertex of least semi on the forest path from v (linked) to
@@ -875,17 +883,11 @@ def _flat_dominators(n: int, succ: list[set[int]], pred: list[set[int]]) -> bool
                 u = evaluate(u)
             if semi[u] < s:
                 s = semi[u]
-        semi[w] = s
-        bucket[s].append(w)
         p = ancestor[w] = parent[w]
-        for v in bucket[p]:
-            u = evaluate(v)
-            idom[v] = u if semi[u] < semi[v] else p
-        bucket[p].clear()
-    for w in range(1, n):
-        if idom[w] != semi[w]:
-            idom[w] = idom[idom[w]]
-    return not any(idom)
+        if s == p != 0:
+            return False
+        semi[w] = s
+    return True
 
 
 def _strong_biconnectivity_witness(

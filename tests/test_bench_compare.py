@@ -84,6 +84,20 @@ def test_verdict_times_both_packages_in_one_process(tmp_path):
     assert ratios["ratio_p10"] <= ratios["ratio_median"] <= ratios["ratio_p90"]
 
 
+def test_sweep_times_the_backbone_alone(tmp_path):
+    # compute_2vsb_spanning is timed as an operation of its own, next to
+    # the extractors and the walk, with a ratio per pair
+    shutil.copytree(ROOT / "src" / "vsbgraph", tmp_path / "vsbgraph_base")
+    done = run("sweep", "--measure", "thin_0", "--repeat", "2",
+               path=os.pathsep.join([str(ROOT / "src"), str(tmp_path)]))
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout)
+    assert set(row["paired"]) == {"minimal", "two_phase", "walk", "backbone"}
+    for side in ("base", "change"):
+        assert len(row[side]["backbone"]["cpu_ms_runs"]) == 2
+    assert len(row["paired"]["backbone"]["ratios"]) == 2
+
+
 def test_verdict_counts_on_minimal_output_n1000():
     # the test a clean sweep makes of its sparse result D at n=1,000
     row = counted("verdict", "minimal_output_n1000")

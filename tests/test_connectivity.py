@@ -1675,3 +1675,31 @@ class TestDominatorRoute:
             views.clear()
             assert _vsb_at_least(g, 2, ()) == verdict
             assert (1 in views) == (g.m > 3 * g.n), (g.m, views.count(1))
+
+    def test_flat_dominators_on_fixed_graphs(self):
+        # the rule _flat_dominators checks, that no vertex has a tree
+        # parent p != 0 as its semidominator, on fixed graphs against
+        # deleting each vertex and searching, so that its coverage does
+        # not rest on the hypothesis seed; the notes on each case follow
+        # the preorder of its depth-first search, which visits the
+        # highest successor first
+        square = square_cycle(12)
+        cases = [
+            # flat along the arcs: the tree path is 0, 2, 4, 3, and the
+            # semidominator of 3 is 2, neither 0 nor its parent 4
+            (Digraph(5, [(0, 2), (2, 4), (4, 3), (2, 3), (0, 1), (1, 4)]), True),
+            # not flat: only 10 reaches 11, which lies 7 arcs down the
+            # tree path 0, 2, 4, 6, 7, 9, 10, 11 and is the only vertex
+            # whose parent is its semidominator
+            (Digraph(12, [e for e in square.edges() if e != (9, 11)]), False),
+            # with that arc back, flat again
+            (square, True),
+        ]
+        for g, flat in cases:
+            assert _flat_dominators(g.n, g._out, g._in) == flat, g.edges()
+            for succ, pred in ((g._out, g._in), (g._in, g._out)):
+                reached = all(
+                    _search_miss(g.n, succ, 0, blocked) is None
+                    for blocked in [(), *((v,) for v in range(1, g.n))]
+                )
+                assert _flat_dominators(g.n, succ, pred) == reached, g.edges()

@@ -27,8 +27,10 @@ holds, per operation, each pair's ratio change/base (``ratios``), their
 median (``ratio_median``) and their 10-90% band (``ratio_p10``,
 ``ratio_p90``).
 
-``sweep`` times ``minimal_k_vsb(g, 3)``, ``two_phase_3vsb(g)`` and the
-degree-only walk alone (``extraction._walk`` at k=3 in input order).
+``sweep`` times ``minimal_k_vsb(g, 3)``, ``two_phase_3vsb(g)``, the
+degree-only walk alone (``extraction._walk`` at k=3 in input order) and
+two-phase's 2-vsb backbone alone (``compute_2vsb_spanning(g)``, whose
+cost is diluted in two-phase's by the k=3 sweep).
 Per extractor it compares ``full_tests``, ``flow_tests``, the
 ``removed`` list and a SHA-256 digest of the output (subgraph, removed,
 protected), and records the output edges and the calls of
@@ -212,7 +214,8 @@ def sweep_operations(lib, g, name: str) -> dict:
     flag = () if local.default is None else (False,)
     return {"minimal": lambda: extraction.minimal_k_vsb(g, 3),
             "two_phase": lambda: extraction.two_phase_3vsb(g),
-            "walk": lambda: extraction._walk(g, 3, g.edges(), frozenset(), *flag)}
+            "walk": lambda: extraction._walk(g, 3, g.edges(), frozenset(), *flag),
+            "backbone": lambda: extraction.compute_2vsb_spanning(g)}
 
 
 def sweep_counts(lib, g, name: str) -> dict:
@@ -575,7 +578,7 @@ def main() -> int:
             label: {side: round(statistics.median(
                 rows[name][side][label]["cpu_ms"] for name in THIN), 3)
                 for side in SIDES}
-            for label in (*EXTRACTORS, "walk")
+            for label in (*EXTRACTORS, "walk", "backbone")
         }
     result["instances"] = rows
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
