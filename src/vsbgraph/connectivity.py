@@ -37,10 +37,10 @@ One test leaves Even's test for its directed half: a verdict-only
 level-2 test of a graph with at most 3n arcs, as the extractors' 2-vsb
 backbone makes.  There g is strongly 2-connected exactly when both
 dominator trees from vertex 0, along the arcs and along their reverses,
-are flat and g-0 is strongly connected, which Lengauer-Tarjan decides
-in O(m log n) instead of Even's O(nm) (:func:`_vsb_at_least`).  On
-denser graphs most of Even's counts end without a search and the
-dominators cost more, hence the gate.  Its undirected half, every
+are flat and g-0 is strongly connected, which their semidominators
+decide in O(m log n) instead of Even's O(nm) (:func:`_vsb_at_least`).
+On denser graphs most of Even's counts end without a search and the
+semidominators cost more, hence the gate.  Its undirected half, every
 other level and every test that reads or fills a table stay on Even's
 test, so witnesses and table contents are the same either way.
 """
@@ -285,10 +285,11 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     K, and those fans are not visited at all.
 
     At k=2, on a graph with at most 3n arcs, the first verdict decides
-    its directed half with dominator trees in O(m log n) instead: on the
-    directed square of a cycle at n=1,000 the verdict took 0.40 s
-    instead of 1.5 s.  The gate and the proof are at
-    :func:`_vsb_at_least`; the witness search is unchanged.
+    its directed half with semidominators in O(m log n) instead: on the
+    directed square of a cycle at n=1,000 the verdict took 0.41 s
+    instead of 1.2 s, nearly all of it in the undirected half.  The gate
+    and the proof are at :func:`_vsb_at_least`; the witness search is
+    unchanged.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
@@ -342,15 +343,16 @@ def _vsb_at_least(
     n >= 3: g-v, v != 0, is strongly connected exactly when every vertex
     of it is reached from 0 and reaches 0 in it, that is, when v
     dominates no vertex from 0 in g or in its reverse, which is what
-    flat trees say; and g-0 is checked directly.  Lengauer-Tarjan costs
-    O(m log n) against Even's O(nm), but its constant is higher, and on
-    denser graphs most of Even's counts end in the free passes of
-    :func:`_disjoint_paths`.  On passing graphs at n = 16 to 1,000 the
-    dominators took 0.1-0.6 times Even's time at m <= 3n, 0.4-0.9 at
-    m = 4n, 0.7-1.6 at 6n and 0.8-2.4 at 8n, and 1.6-4.2 times on
-    generated inputs (8n to 18n arcs).  So denser graphs stay on Even's
-    test, as do the undirected half and every table-backed test, and
-    the witness search's counts do not move.
+    flat trees say; and g-0 is checked directly.  The semidominators
+    cost O(m log n) against Even's O(nm), but their constant is higher,
+    and on denser graphs most of Even's counts end in the free passes of
+    :func:`_disjoint_paths`.  On passing graphs at n = 16 to 1,000 they
+    took 0.05-0.42 times Even's time at m <= 3n, 0.28-0.67 at m = 4n,
+    0.54-1.46 at 6n and 0.74-1.97 at 8n, and 1.3-3.5 times on generated
+    inputs (8n to 18n arcs).  So graphs with more than 3n arcs stay on
+    Even's test, 4n included, where the semidominators would also win;
+    so do the undirected half and every table-backed test, and the
+    witness search's counts do not move.
     """
     directed, undirected = tables or (None, None)
     if k == 2 and not (tables or blocked) and g.m <= 3 * g.n:

@@ -54,11 +54,10 @@ Two-phase is still slower than minimal: its backbone costs a degree walk
 over a prefix of the candidates and a full k=2 test, while the k=3 work
 the backbone saves is only part of one degree walk.  The backbone's
 degree-only result has about 2.2n arcs, so the directed half of its
-test runs on dominator trees (``connectivity._vsb_at_least``).  In
-``BENCH_dominators.json`` two-phase's median over the ``thin``
-instances is 2.6 times minimal's (2.9 with Even's test for that half),
-and it takes 1.6 to 1.7 times as long at n = 100, 400 and 1,000 (1.7 to
-2.0).
+test runs on semidominators (``connectivity._vsb_at_least``).  In
+``BENCH_semidominators.json`` two-phase's median over the ``thin``
+instances is 2.3 times minimal's, and it takes 1.5 to 1.7 times as long
+at n = 100, 400 and 1,000.
 
 Runs never share mutable state; distinct extractions may proceed
 concurrently.

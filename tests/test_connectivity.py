@@ -1676,13 +1676,16 @@ class TestDominatorRoute:
             assert _vsb_at_least(g, 2, ()) == verdict
             assert (1 in views) == (g.m > 3 * g.n), (g.m, views.count(1))
 
-    def test_flat_dominators_on_fixed_graphs(self):
-        # the rule _flat_dominators checks, that no vertex has a tree
-        # parent p != 0 as its semidominator, on fixed graphs against
-        # deleting each vertex and searching, so that its coverage does
-        # not rest on the hypothesis seed; the notes on each case follow
-        # the preorder of its depth-first search, which visits the
-        # highest successor first
+
+class TestFlatDominatorRule:
+    """_flat_dominators calls a tree flat exactly when no vertex has its
+    tree parent p != 0 as its semidominator."""
+
+    def test_fixed_graphs(self):
+        # checked against deleting each vertex and searching, so that the
+        # rule's coverage does not rest on the hypothesis seed; the notes
+        # on each case follow the preorder of its depth-first search,
+        # which visits the highest successor first
         square = square_cycle(12)
         cases = [
             # flat along the arcs: the tree path is 0, 2, 4, 3, and the
