@@ -34,7 +34,7 @@ extractors' local removability test (:func:`_stays_k_vsb`) makes at
 most two counts with the same primitive.
 
 One test leaves Even's test for its directed half: a verdict-only
-level-2 test of a graph with at most 3n arcs, as the extractors' 2-vsb
+level-2 test of a graph with at most 4n arcs, as the extractors' 2-vsb
 backbone makes.  There g is strongly 2-connected exactly when both
 dominator trees from vertex 0, along the arcs and along their reverses,
 are flat and g-0 is strongly connected, which their semidominators
@@ -122,21 +122,17 @@ class _Table:
     ``settled`` is the highest K at which Even's test on g itself passed
     with this table, so every fan into t >= settled has a count of at
     least settled here (0 if none).  A fan counted above ``settled``
-    holds a spare path, so no test that reads the index can fail it.
+    holds a spare path, so no test that :meth:`fans` serves can fail it.
 
-    The fans are indexed at the first :meth:`fans` call, which only a
-    test of a residual makes: each fan counted so far, up to
-    ``settled``, is listed in ``on`` (None until then) under every
-    vertex of its kept paths, or in ``loose`` if its paths were dropped,
-    and from then on each such count of a fan lists it again; a fan may
-    be listed twice, or under a vertex its paths have since left.  When
-    ``settled`` rises, the index is dropped, and the next :meth:`fans`
-    call lists the fans again.
+    ``tight`` lists the fans into t >= settled counted at most
+    ``settled``, taken at the first :meth:`fans` call, which only a test
+    of a residual makes (None until then), and dropped when ``settled``
+    rises.  No fan joins it later: every fan into t >= settled was
+    counted when ``settled`` last rose, and counts on g only grow.
     """
 
     counts: dict[Item, Count] = field(default_factory=dict)
-    on: dict[int, list[Item]] | None = None
-    loose: set[Item] = field(default_factory=set)
+    tight: list[Item] | None = None
     settled: int = 0
     keep = 4
 
@@ -179,45 +175,35 @@ class _Table:
         if len(paths) > self.keep * need:
             paths = None
         self.counts[item] = count, need <= count < len(starts), paths
-        if not own and self.on is not None and count <= self.settled:
-            self._list(item, paths)
         return count, _cut(paths, blocked)
-
-    def _list(self, fan: Item, paths: dict[int, int] | None) -> None:
-        """List a fan under each vertex of its kept paths, or as loose."""
-        if paths is None:
-            self.loose.add(fan)
-        else:
-            for v in paths:
-                self.on.setdefault(v, []).append(fan)
 
     def fans(self, first: int, blocked: tuple[int, ...], sides: int) -> list[Item]:
         """The fans that a test at a level K <= settled with a blocked set
         P, K+|P| <= settled+1, must visit, in Even's order, where
         ``first`` is its (K+1)-th survivor: those into survivors below
-        ``settled``, and of those counted up to ``settled`` the ones
-        listed under a blocked vertex and the loose ones, but none into a
-        blocked vertex or below ``first``.  A fan counted at c >= settled+1
-        is left out, since c >= K+|P| and P cuts at most |P| of its
-        paths (proof in :func:`_connectivity_at_least`).  The first call
-        after the table was made or ``settled`` rose indexes the fans
-        counted so far."""
-        if self.on is None:
-            self.on = {}
-            for item, (count, _, paths) in self.counts.items():
-                if not item[2] and count <= self.settled:
-                    self._list(item, paths)
-        visit = self.loose.union(
-            *(self.on.get(v, ()) for v in blocked),
-            (
-                (t, side, ())
-                for t in range(first, self.settled)
-                for side in range(sides)
-            ),
-        )
-        return sorted(
-            fan for fan in visit if fan[0] >= first and fan[0] not in blocked
-        )
+        ``settled``, and of the tight ones those still counted at most
+        ``settled`` whose kept paths meet P or were dropped, but none
+        into a blocked vertex or below ``first``.  Every other fan passes
+        without a visit (proof in :func:`_connectivity_at_least`)."""
+        settled, counts = self.settled, self.counts
+        if self.tight is None:
+            self.tight = [
+                item
+                for item, (count, _, _) in counts.items()
+                if not item[2] and item[0] >= settled and count <= settled
+            ]
+        visit = [
+            (t, side, ())
+            for t in range(first, settled)
+            if t not in blocked
+            for side in range(sides)
+        ]
+        for fan in self.tight:
+            count, _, paths = counts[fan]
+            if count <= settled and fan[0] >= first and fan[0] not in blocked:
+                if _cut(paths, blocked):
+                    visit.append(fan)
+        return sorted(visit)
 
 
 def _cut(paths: dict[int, int] | None, blocked: tuple[int, ...]) -> int:
@@ -282,14 +268,14 @@ def is_k_vsb(g: Digraph, k: int) -> ConnectivityReport:
     asks g for K+|P| paths per item, one more than the passing size
     test at s asked, and most fans were counted with that spare path: a
     count c >= K+|P| loses at most |P| paths to P (h <= |P|), so c-h >=
-    K, and those fans are not visited at all.
+    K, and those fans are not visited at all.  The few tight fans,
+    counted at exactly s, are kept in one list and visited only where P
+    meets their paths.
 
-    At k=2, on a graph with at most 3n arcs, the first verdict decides
-    its directed half with semidominators in O(m log n) instead: on the
-    directed square of a cycle at n=1,000 the verdict took 0.41 s
-    instead of 1.2 s, nearly all of it in the undirected half.  The gate
-    and the proof are at :func:`_vsb_at_least`; the witness search is
-    unchanged.
+    At k=2, on a graph with at most 4n arcs, the first verdict decides
+    its directed half with semidominators in O(m log n) instead.  The
+    gate and the proof are at :func:`_vsb_at_least`; the witness search
+    is unchanged.
     """
     _check_level(g, k)
     if _vsb_at_least(g, k, ()):
@@ -336,26 +322,22 @@ def _vsb_at_least(
 
     A verdict-only test of g itself at level 2 (no tables, nothing
     blocked) decides its directed half with dominators when g has at
-    most 3n arcs: g is strongly 2-connected exactly when every vertex
+    most 4n arcs: g is strongly 2-connected exactly when every vertex
     but 0 has 0 as its immediate dominator, from 0 along g's arcs and
     along their reverses (:func:`_flat_dominators`), and g-0 is strongly
     connected (Italiano, Laura and Santaroni, TCS 2012).  Proof, for
     n >= 3: g-v, v != 0, is strongly connected exactly when every vertex
     of it is reached from 0 and reaches 0 in it, that is, when v
     dominates no vertex from 0 in g or in its reverse, which is what
-    flat trees say; and g-0 is checked directly.  The semidominators
-    cost O(m log n) against Even's O(nm), but their constant is higher,
-    and on denser graphs most of Even's counts end in the free passes of
-    :func:`_disjoint_paths`.  On passing graphs at n = 16 to 1,000 they
-    took 0.05-0.42 times Even's time at m <= 3n, 0.28-0.67 at m = 4n,
-    0.54-1.46 at 6n and 0.74-1.97 at 8n, and 1.3-3.5 times on generated
-    inputs (8n to 18n arcs).  So graphs with more than 3n arcs stay on
-    Even's test, 4n included, where the semidominators would also win;
-    so do the undirected half and every table-backed test, and the
-    witness search's counts do not move.
+    flat trees say; and g-0 is checked directly.  Above 4n arcs most of
+    Even's counts end in the free passes of :func:`_disjoint_paths`, and
+    the semidominators' higher constant outweighs their O(m log n)
+    against Even's O(nm), so those graphs stay on Even's test; so do the
+    undirected half and every table-backed test, and the witness
+    search's counts do not move.
     """
     directed, undirected = tables or (None, None)
-    if k == 2 and not (tables or blocked) and g.m <= 3 * g.n:
+    if k == 2 and not (tables or blocked) and g.m <= 4 * g.n:
         out, inn = g._out, g._in
         strong = (
             _flat_dominators(g.n, out, inn)
@@ -479,22 +461,20 @@ def _connectivity_at_least(
     this table (``table.settled``), a test that asks for K+|P| <= s+1
     paths on g, as every prefix and leaf test of :func:`is_k_vsb`'s
     witness search does, visits only the pairs, the fans into survivors
-    below s and, of the fans whose count on g is at most s, those the
-    table lists under a vertex of P and those whose paths it dropped
-    (:meth:`_Table.fans`), in the order of the full walk.  That list is
-    taken before the walk, and a count changes the listing of its own
-    item only, so a fan left out is neither counted nor relisted during
-    the walk.  Every such fan passes without a visit.  It is a fan into
-    some t >= s, so the passing test at level s counted it, and its
-    count c on g is at least s >= K (counts on g only grow, since a
-    recount replaces only a count below its new cap).  If c > s, it
-    holds a spare path: c >= s+1 >= K+|P|, and h <= |P|, so c-h >= K.
-    Otherwise its last count kept its paths and listed it under each of
-    their vertices (s has not risen since, or the index would have been
-    dropped and made again from the counts), none of which is in P, so
-    h = 0 and c-h >= K.  The verdict is the full walk's, and so is every
-    count made before the first failing item.  Any other test with a
-    table visits every fan.
+    below s and, of the fans into t >= s still counted at most s, those
+    whose kept paths meet P or were dropped (:meth:`_Table.fans`), in
+    the order of the full walk.  That list is taken before the walk, and
+    only its own visit changes a fan's count, so each fan is visited or
+    left out on the count it has at its turn.  Every fan left out passes
+    without a visit.  It is a fan into some t >= s, so the passing test
+    at level s counted it, and its count c on g is at least s >= K
+    (counts on g only grow, since a recount replaces only a count below
+    its new cap).  If c > s, it holds a spare path: c >= s+1 >= K+|P|,
+    and h <= |P|, so c-h >= K.  Otherwise it is in ``table.tight`` (its
+    count was at most s when the list was taken too) and its kept paths
+    avoid P, so h = 0 and c-h >= K.  The verdict is the full walk's, and
+    so is every count made before the first failing item.  Any other
+    test with a table visits every fan.
     """
     # the pairs and the fans need only the first K+1 survivors
     alive = [v for v in range(min(n, K + 1 + len(blocked))) if v not in blocked]
@@ -527,9 +507,7 @@ def _connectivity_at_least(
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False
     if table is not None and not blocked and K > table.settled:
-        # the index lists only fans with counts up to settled
-        table.settled, table.on = K, None
-        table.loose.clear()
+        table.settled, table.tight = K, None
     return True
 
 

@@ -60,11 +60,13 @@ def test_verdict_gates_on_the_witness_alone():
 
 def test_verdict_counts_on_check_near_miss():
     # the near-miss copy that perfbench/run.py builds for its check
-    # workload, with the same digest as its pin
+    # workload, with the same digest as its pin, and the cost of the
+    # benchmark's own false verdict
     row = counted("verdict", "check_n50_near_miss")
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
     assert row["instance"] == pins["instances"]["50,800,100000,near-miss"]
     assert row["witness"] == "deleting {12, 13} breaks strong biconnectivity"
+    assert (row["disjoint_paths_calls"], row["table_visits"]) == (174, 218)
 
 
 def test_verdict_times_both_packages_in_one_process(tmp_path):

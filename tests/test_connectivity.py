@@ -580,8 +580,8 @@ def assert_search_agrees(g: Digraph, k: int, tables) -> int:
     """Run is_k_vsb's size tests on g with ``tables`` as it does, then
     every prefix and leaf test of its witness search on the same tables,
     which the passing size test settled; each verdict must be the
-    enumeration's, and each table's index must hold after them
-    (assert_index_holds), whether a prefix test indexed it or not.
+    enumeration's, and each table's tight list must hold after them
+    (assert_index_holds), whether a prefix test took it or not.
     Returns the witness size."""
     size = next(
         (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
@@ -644,23 +644,17 @@ def recorded_tables(g: Digraph, k: int, base=_Table):
 
 def assert_index_holds(table: _Table) -> None:
     """Before the first _Table.fans call, or since settled last rose,
-    nothing is listed; from then on every fan counted at most settled
-    with kept paths is listed under each vertex of them, every such fan
-    whose paths were dropped is loose, and no pair is listed.  A fan
-    counted above settled holds a spare path and may be unlisted."""
-    if table.on is None:
-        assert not table.loose
+    nothing is listed; from then on every fan into t >= settled counted
+    at most settled is in the tight list, which holds no pair and no fan
+    into t < settled.  Those fans are visited by every test and may be
+    counted later; a fan counted above settled holds a spare path, and a
+    recount may lift a listed fan there."""
+    if table.tight is None:
         return
-    listed = {v: set(fans) for v, fans in table.on.items()}
-    for item, (count, _, paths) in table.counts.items():
-        if item[2] or count > table.settled:
-            continue  # a pair, or a fan with a spare path
-        if paths is None:
-            assert item in table.loose, item
-        else:
-            assert all(item in listed.get(v, ()) for v in paths), item
-    for fans in (table.loose, *listed.values()):
-        assert all(own == () for _, _, own in fans)
+    for item, (count, _, _) in table.counts.items():
+        if not item[2] and item[0] >= table.settled and count <= table.settled:
+            assert item in table.tight, item
+    assert all(own == () and t >= table.settled for t, _, own in table.tight)
 
 
 def counted_is_k_vsb(monkeypatch, g: Digraph, k: int):
@@ -1267,12 +1261,12 @@ class TestMengerVerdict:
 
     @given(digraphs(min_n=3, max_n=7))
     def test_table_index_after_false_verdict(self, g):
-        # after a false verdict, each table lists its fans as
+        # after a false verdict, each table lists its tight fans as
         # assert_index_holds says, whether it kept their paths or not, also
         # on the near-miss of the last vertex, whose fans the witness search
-        # must visit.  The fans are indexed at the first _Table.fans call,
+        # must visit.  The list is taken at the first _Table.fans call,
         # which only a prefix or leaf test makes; a table that none made
-        # lists nothing yet, and indexing it then lists every fan
+        # lists nothing yet, and taking it then lists every tight fan
         graphs = [g]
         if len(g._in[g.n - 1]) >= 2:
             graphs.append(near_miss(g, g.n - 1))
@@ -1309,10 +1303,10 @@ class TestMengerVerdict:
         assert skipped > 1000
 
     def test_index_follows_a_rising_settled(self):
-        # an index made at settled = s leaves out the fans counted at s+1;
-        # once a passing test raises settled to s+1, one deleted vertex
-        # can cut such a fan below the level, so the index is made again.
-        # A level-1 pass, an index, a level-2 pass, then level-2 tests
+        # a tight list taken at settled = s leaves out the fans counted at
+        # s+1; once a passing test raises settled to s+1, one deleted vertex
+        # can cut such a fan below the level, so the list is taken again.
+        # A level-1 pass, a list, a level-2 pass, then level-2 tests
         # with one vertex blocked, each checked against the enumeration
         rng = random.Random(26)
         graphs = [near_miss(complete_bidirected(8), 7), block_ring(3)]
@@ -1332,7 +1326,7 @@ class TestMengerVerdict:
                 assert _vsb_at_least(g, 1, (), tables)
                 for table, sides in zip(tables, (2, 1)):
                     table.fans(g.n, (), sides)
-                    assert table.on is not None
+                    assert table.tight is not None
                 assert _vsb_at_least(g, 2, (), tables)
                 assert [table.settled for table in tables] == [2, 3]
                 for x in range(g.n):
@@ -1439,6 +1433,16 @@ class TestMengerVerdict:
         report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
         assert report.witness == Witness(VERTEX_CUT, (78, 87))
         assert (calls, visits) == (334, 742)
+
+    def test_late_witness_at_n200(self, monkeypatch):
+        # the per-vertex index of fans made 656 counts and 1,617 visits
+        # here: it also visited fans listed under a vertex their paths had
+        # left, or lifted above settled since, none of which recounts.
+        # The tight list visits only the fans the deleted set cuts now
+        near = near_miss(generate(InstanceSpec(200, seed=1)).graph, 7)
+        report, calls, visits = counted_is_k_vsb(monkeypatch, near, 3)
+        assert report.witness == Witness(VERTEX_CUT, (171, 187))
+        assert (calls, visits) == (656, 1563)
 
     @pytest.mark.parametrize("n, cut", [(200, (171, 187)), (400, (378, 390))])
     def test_late_witness_at_scale(self, n, cut):
@@ -1596,7 +1600,7 @@ class TestDominatorRoute:
         """Route, directed half and verdict on g against Even's test and
         the oracle; returns Even's directed half."""
         directed, routed = self.routed_directed_half(g)
-        assert routed == (g.m <= 3 * g.n), (g.edges(), routed)
+        assert routed == (g.m <= 4 * g.n), (g.edges(), routed)
         even = _connectivity_at_least(g.n, _orientations(g, True), 2, ())
         assert directed == even or not routed, g.edges()
         verdict = _vsb_at_least(g, 2, ())
@@ -1627,11 +1631,12 @@ class TestDominatorRoute:
             (directed_path(9), False),
             (Digraph(8, bidirected([(i, (i + 1) % 8) for i in range(8)])), True),
             (square_cycle(8), True),
-            # m = 3n, on the gate; then m = 4n and above: Even's test decides
+            # m = 3n, then m = 4n, on the gate; then m = 7n and above the
+            # gate: Even's test decides
             (complete_bidirected(4), True),
             (complete_bidirected(5), True),
             (complete_bidirected(8), True),
-            # 7 keeps one in-arc
+            # 7 keeps one in-arc, m > 6n
             (Digraph(8, [(u, v) for u, v in complete_bidirected(8).edges()
                          if v != 7 or u == 6]), False),
         ]
@@ -1674,7 +1679,7 @@ class TestDominatorRoute:
         ):
             views.clear()
             assert _vsb_at_least(g, 2, ()) == verdict
-            assert (1 in views) == (g.m > 3 * g.n), (g.m, views.count(1))
+            assert (1 in views) == (g.m > 4 * g.n), (g.m, views.count(1))
 
 
 class TestFlatDominatorRule:

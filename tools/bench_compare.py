@@ -45,10 +45,11 @@ fail their check, so both extractors fall back.  R=5 takes a few minutes.
 its ``_Table.count`` visits, its ``_disjoint_paths`` calls and its
 tracemalloc peak (KB).  The two counters are costs that a change to the
 witness search moves on purpose; the tier-1 tests pin their exact values
-on the near-misses at n = 50 and 100.  Instances: near-miss copies of
-``generate(InstanceSpec(n, seed=1))`` in which vertex 7 keeps only its
-two highest in-neighbours (n = 50 with 800 initial arcs, as pinned in
-the tests, then n = 100, 200, 400); four sparse false inputs at
+on the near-misses at n = 50, 100 and 200 and on ``check_n50_near_miss``.
+Instances: near-miss copies of ``generate(InstanceSpec(n, seed=1))``
+in which vertex 7 keeps only its two highest in-neighbours (n = 50
+with 800 initial arcs, as pinned in the tests, then n = 100, 200,
+400); four sparse false inputs at
 n = 1,000, whose kept paths are few; the near-miss of the perfbench
 ``check`` workload (``check_n50_near_miss``, witness {12, 13}); and
 four true verdicts: the perfbench ``check`` instance
