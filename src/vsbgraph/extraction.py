@@ -46,9 +46,13 @@ on a copy of the input that loses the arcs that go: the graph was k-vsb
 before the removal, so it stays k-vsb exactly when k disjoint paths
 still lead from one end of the edge to the other (k+1 in the undirected
 view when the reverse arc is absent), at most two disjoint-path counts.
-A full recheck of the output ends the fallback.  All of these run on the
-same disjoint-path primitive, so the test suite checks the sweep against
-an enumeration of deletion sets and the brute-force oracle instead.
+No full test of the output follows.  By induction over the candidates
+the work graph stays k-vsb: the precondition shows it k-vsb at the
+start, a keep leaves it as it was, and an edge goes only when the local
+test shows the graph without it k-vsb.  The local and the full tests run
+on the same disjoint-path primitive, so the test suite checks the sweep
+against an enumeration of deletion sets and the brute-force oracle
+instead, and tests its fallback outputs with :func:`is_k_vsb`.
 
 Two-phase is still slower than minimal: its backbone costs a degree walk
 over a prefix of the candidates and a full k=2 test, while the k=3 work
@@ -86,9 +90,9 @@ class ExtractionStats:
 
     ``full_tests`` counts the full k-vsb tests the run made: the check of
     each sweep's degree-only result and, when that fails, the fallback's
-    precondition (for the backbone, its input test and prefix probes) and
-    its recheck.  ``flow_tests`` counts the fallback's local removability
-    tests; every other candidate was decided by the degree bound alone.
+    precondition (for the backbone, its input test and prefix probes).
+    ``flow_tests`` counts the fallback's local removability tests; every
+    other candidate was decided by the degree bound alone.
     ``tests_performed`` is their sum.  Two-phase counts include the
     backbone's.  ``elapsed`` is wall time in seconds on a monotonic clock.
     """
@@ -201,15 +205,16 @@ def _sweep(
     """The greedy deletion sweep every extractor runs (module docstring).
 
     The degree-only walk and its check come first; if the check fails,
-    the fallback runs ``precondition`` and then the local-test walk and
-    its recheck.  ``precondition`` raises :class:`NotKVsbError` unless g
-    is k-vsb and returns the number of full tests it made; by default it
-    is ``is_k_vsb(g, k)``.  The backbone's precondition also grows g,
-    which is a prefix of its input, to the shortest 2-vsb prefix
-    (:func:`compute_2vsb_spanning`).  ``removed`` keeps candidate order,
-    ``protected`` input-edge order.  ``start`` is the caller's
-    ``time.perf_counter()`` reading and ``full_tests``/``flow_tests`` its
-    counts so far; the stats include them.
+    the fallback runs ``precondition`` and then the local-test walk,
+    whose output is k-vsb by induction.  ``precondition`` raises
+    :class:`NotKVsbError` unless g is k-vsb and returns the number of
+    full tests it made; by default it is ``is_k_vsb(g, k)``.  The
+    backbone's precondition also grows g, which is a prefix of its input,
+    to the shortest 2-vsb prefix (:func:`compute_2vsb_spanning`).
+    ``removed`` keeps candidate order, ``protected`` input-edge order.
+    ``start`` is the caller's ``time.perf_counter()`` reading and
+    ``full_tests``/``flow_tests`` its counts so far; the stats include
+    them.
     """
     work, removed, _ = _walk(g, k, candidates, protected)
     full_tests += 1
@@ -217,11 +222,6 @@ def _sweep(
         full_tests += precondition() if precondition else _require_k_vsb(g, k)
         work, removed, local_tests = _walk(g, k, candidates, protected, g.copy())
         flow_tests += local_tests
-        full_tests += 1
-        if not _vsb_at_least(work, k, ()):
-            raise RuntimeError(
-                f"internal error: extraction output failed the {k}-vsb recheck"
-            )
     stats = ExtractionStats(
         g.m, work.m, full_tests, flow_tests, time.perf_counter() - start
     )
@@ -294,15 +294,16 @@ def two_phase_3vsb(
     backbone in input-edge order and are always contained in the output.
     The stats include the backbone run's tests.  Raises
     :class:`NotKVsbError` with the 3-vsb witness when the input is not
-    3-vsb, also when the backbone finds it is not even 2-vsb.
+    3-vsb.  When the backbone finds it is not even 2-vsb, that witness is
+    the backbone's: the smallest failing size, at most 1, is the same at
+    both levels, and so is the first failing set of that size.
     """
     start = time.perf_counter()
     _check_level(g, 3)
     try:
         backbone = compute_2vsb_spanning(g, order, seed)
-    except NotKVsbError:  # not 2-vsb, so not 3-vsb either
-        _require_k_vsb(g, 3)
-        raise
+    except NotKVsbError as exc:  # not 2-vsb, so not 3-vsb either
+        raise NotKVsbError(3, exc.witness) from None
     protected = frozenset(backbone.subgraph.edges())
     candidates = _ordered_candidates(g.edges(), order, seed)
     counts = backbone.stats

@@ -35,7 +35,7 @@ def test_sweep_counts_on_thin_0():
     tests = {label: (row[label]["full_tests"], row[label]["flow_tests"],
                      row[label]["edges_out"])
              for label in ("minimal", "two_phase")}
-    assert tests == {"minimal": (1, 0, 50), "two_phase": (5, 69, 50)}
+    assert tests == {"minimal": (1, 0, 50), "two_phase": (4, 69, 50)}
 
 
 def test_verdict_counts_on_check_n50():

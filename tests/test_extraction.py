@@ -130,15 +130,17 @@ class TestBackbone2Vsb:
     def test_prefix_search_starts_at_degree_bound(self, monkeypatch):
         # the sweep starts inside the shortest prefix that meets the degree
         # bound; here its degree-only result fails, so the fallback tests
-        # the input, probes that prefix (which passes) and rechecks
+        # the input and probes that prefix (which passes) before its local
+        # tests, and no full test of the output follows
         g = generate(InstanceSpec(10, seed=1)).graph
         length = next(_degree_gated(Digraph(g.n), g.edges(), 2))
         calls = count_full_tests(monkeypatch)
         result = compute_2vsb_spanning(g)
         assert result.stats.edges_in == 80
-        assert calls[1:] == [(2, 80), (2, length), (2, result.subgraph.m)]
+        assert calls[1:] == [(2, 80), (2, length)]
         assert calls[0][1] < length == 40
-        assert (result.stats.full_tests, result.stats.flow_tests) == (4, 21)
+        assert (result.stats.full_tests, result.stats.flow_tests) == (3, 21)
+        assert is_k_vsb(result.subgraph, 2).verdict
         # bidirected K5: the degree-only result passes, one full test
         calls.clear()
         result = compute_2vsb_spanning(complete_bidirected(5))
@@ -169,6 +171,18 @@ class TestBackbone2Vsb:
             compute_2vsb_spanning(g, "shuffle", 1)
         assert len(calls) == 2 and calls[1] == (2, 180)
         assert info.value.witness == is_k_vsb(g, 2).witness
+
+    def test_input_test_bounds_the_probes(self, monkeypatch):
+        # two bidirected K6 sharing vertex 5 meet the 2-vsb degree bound,
+        # and the gate opens at 39 of the 60 arcs: the check of the
+        # degree-only result and the input test end the run, where probing
+        # prefixes up to the input would make 22 more full tests
+        g = two_k6_sharing_a_vertex()
+        calls = count_full_tests(monkeypatch)
+        with pytest.raises(NotKVsbError) as info:
+            compute_2vsb_spanning(g, "shuffle", 1)
+        assert info.value.k == 2
+        assert calls == [(2, 24), (2, 60)]
 
 
 class TestTwoPhase3Vsb:
@@ -226,8 +240,9 @@ class TestFullTestCount:
         # extraction.compute_2vsb_spanning.  Here the backbone's degree-only
         # result fails, so its fallback tests the input and probes prefixes
         # (the first at the degree bound, then one more edge each) before
-        # its local tests and recheck; the k=3 degree-only result passes its
-        # one check, so the 3-vsb precondition never runs
+        # its local tests, and no full test of its output follows; the k=3
+        # degree-only result passes its one check, so the 3-vsb
+        # precondition never runs
         g = named_graph(name)
         calls = count_full_tests(monkeypatch, degree_checked=True)
         backbones, local = [], []
@@ -250,26 +265,54 @@ class TestFullTestCount:
         assert calls[1:] == (
             [(2, g.m)]
             + [(2, m) for m in range(length, length + probes)]
-            + [(2, len(result.protected)), (3, result.subgraph.m)]
+            + [(3, result.subgraph.m)]
         )
         assert result.stats.full_tests == len(calls)
         assert local and set(local) == {2}
         assert result.stats.flow_tests == len(local)
         assert result.stats.tests_performed == len(calls) + len(local)
+        assert is_k_vsb(result.subgraph, 3).verdict
+        assert is_k_vsb(Digraph(g.n, result.protected), 2).verdict
+
+    def test_two_phase_rejection_makes_one_false_verdict(self, monkeypatch):
+        # the backbone's input test names the witness, which is the same set
+        # at k=3: two-phase re-raises it without a test of its own
+        g = two_k6_sharing_a_vertex()
+        verdicts = []
+
+        def counting_is_k_vsb(h, k):
+            verdicts.append(k)
+            return is_k_vsb(h, k)
+
+        monkeypatch.setattr(extraction, "is_k_vsb", counting_is_k_vsb)
+        with pytest.raises(NotKVsbError) as info:
+            two_phase_3vsb(g)
+        assert verdicts == [2]
+        assert info.value.k == 3
+        assert info.value.witness == is_k_vsb(g, 3).witness
 
 
 class TestOptimisticSweep:
     def test_fallback_runs_on_block_ring(self, monkeypatch):
         # the degree-only result of the ring fails its check, so the sweep
-        # tests the input with is_k_vsb, makes local tests from the first
-        # candidate and rechecks its output
-        g = block_ring(3)
+        # tests the input with is_k_vsb and makes local tests from the first
+        # candidate; no full test of its output follows.  Two-phase's
+        # backbone falls back (its check, the input test and one passing
+        # probe), and its k=3 degree-only result passes.
         calls = count_full_tests(monkeypatch)
-        result = minimal_k_vsb(g, 3)
-        assert calls[0][0] == 3 and calls[0][1] < g.m
-        assert calls[1:] == [(3, g.m), (3, result.subgraph.m)]
-        assert result.stats.full_tests == 3
-        assert 0 < result.stats.flow_tests < g.m
+        for blocks, flow, two_phase_flow in [(3, 51, 63), (20, 357, 454)]:
+            g = block_ring(blocks)
+            calls.clear()
+            result = minimal_k_vsb(g, 3)
+            assert calls[0][0] == 3 and calls[0][1] < g.m
+            assert calls[1:] == [(3, g.m)]
+            assert (result.stats.full_tests, result.stats.flow_tests) == (2, flow)
+            assert is_k_vsb(result.subgraph, 3).verdict
+            result = two_phase_3vsb(g)
+            assert (result.stats.full_tests, result.stats.flow_tests) == (
+                4, two_phase_flow)
+            assert is_k_vsb(result.subgraph, 3).verdict
+            assert is_k_vsb(Digraph(g.n, result.protected), 2).verdict
 
     # k-vsb graphs whose degree-only walk in input order stays k-vsb up to
     # the last arc, which it then drops although the graph needs it
@@ -287,8 +330,9 @@ class TestOptimisticSweep:
     def test_check_follows_the_last_candidate(self, k, n, edges):
         g = Digraph(n, edges)
         result = minimal_k_vsb(g, k)
-        assert result.stats.full_tests == 3 and result.stats.flow_tests > 0
+        assert result.stats.full_tests == 2 and result.stats.flow_tests > 0
         assert edges[-1] not in result.removed
+        assert is_k_vsb(result.subgraph, k).verdict
         assert oracle_is_minimal(result.subgraph, k)
 
     def test_rejections_carry_the_full_test_witness(self):
@@ -362,6 +406,13 @@ def count_full_tests(monkeypatch, degree_checked=False) -> list[tuple[int, int]]
     return calls
 
 
+def two_k6_sharing_a_vertex() -> Digraph:
+    """Two bidirected K6 sharing vertex 5 (n=11, m=60): above the 2-vsb
+    degree bound, but 5 is an articulation point."""
+    k6 = [(u, v) for u in range(6) for v in range(6) if u != v]
+    return Digraph(11, k6 + [(u + 5, v + 5) for u, v in k6])
+
+
 def named_graph(name: str) -> Digraph:
     if name == "K6":
         return complete_bidirected(6)
@@ -383,27 +434,27 @@ def output_digest(result) -> str:
 # must undercut; it and the digest name the case.  The last two counts
 # are the run's full_tests and flow_tests.  A sweep whose degree-only
 # result passes makes one full test and no local test; a minimal fallback
-# makes three (the check, the precondition and the recheck) plus one local
-# test per candidate the degree bound does not decide.  Two-phase counts include
+# makes two (the check and the precondition) plus one local test per
+# candidate the degree bound does not decide.  Two-phase counts include
 # the backbone's, whose fallback tests its input and probes prefixes
-# instead of a precondition (10,80,1 input: 4 full tests, K6 shuffle-5: 6).
+# instead of a precondition (10,80,1 input: 3 full tests, K6 shuffle-5: 5).
 OUTPUT_DIGESTS = [
     ("K6", "minimal-1", "input", None, 32, "e89573df4abc577399708e164718bf854af3e1f570a01a0df62d24424952a34b", 1, 0),
     ("K6", "minimal-2", "shuffle", 5, 32, "48ac0952834cf3962d58e55e8059c9efcdf4c7b0a0eb48d00e801706343419a5", 1, 0),
     ("K6", "minimal-3", "input", None, 32, "7e7f5aab066b27e9cd5fafbb51c38950d40cc7328bec4d0af10969d123f3c506", 1, 0),
-    ("K6", "two-phase", "shuffle", 5, 44, "1e8f251bd82b97170c5acb23181df6d940cdd7b246d44ac7f275ff578bd6b8d9", 7, 7),
-    ("10,80,1", "minimal-1", "shuffle", 5, 82, "ae12b8770ca46381559c6898edd928a24c16f9ce99db18f2840542f87e0e0aa1", 3, 70),
+    ("K6", "two-phase", "shuffle", 5, 44, "1e8f251bd82b97170c5acb23181df6d940cdd7b246d44ac7f275ff578bd6b8d9", 6, 7),
+    ("10,80,1", "minimal-1", "shuffle", 5, 82, "ae12b8770ca46381559c6898edd928a24c16f9ce99db18f2840542f87e0e0aa1", 2, 70),
     ("10,80,1", "minimal-2", "input", None, 82, "02a058dd8295802f7bbfc74c9a87506ef00df855c0d83b002cdb589680d9c817", 1, 0),
     ("10,80,1", "minimal-3", "input", None, 82, "82a4b3e5ee8c99ce1c3e61ed7d51dbbb3b8781259740095ba1d0f6f37e15c242", 1, 0),
     ("10,80,1", "minimal-3", "shuffle", 5, 82, "d24cda7e04943b7c9c43f56f553236afaf567ca20ce5a495d84022ff2bfad2e5", 1, 0),
-    ("10,80,1", "two-phase", "input", None, 104, "273073add43590a1b91779e0c0b4575dde709c2fae9f16efbd57a2b58e966c42", 5, 21),
+    ("10,80,1", "two-phase", "input", None, 104, "273073add43590a1b91779e0c0b4575dde709c2fae9f16efbd57a2b58e966c42", 4, 21),
     ("12,96,2", "minimal-2", "shuffle", 5, 98, "33869bc65a4c75753c4943485ab7d9cf532924c6845ca7e3a4752c33a60ead7f", 1, 0),
-    ("12,96,2", "minimal-3", "input", None, 98, "1e8b3473c05b269c66327d7f1b36a472649e3fefbe636c3eda53308736700e06", 3, 59),
+    ("12,96,2", "minimal-3", "input", None, 98, "1e8b3473c05b269c66327d7f1b36a472649e3fefbe636c3eda53308736700e06", 2, 59),
     ("12,96,2", "two-phase", "shuffle", 5, 122, "0d1c4eaea1f0b56a59d43000673aaa989c84796398ff89866aa0a6c6af900cc4", 2, 0),
-    ("12,48,3", "minimal-2", "input", None, 58, "bc850e2f4fa7ab32c1decac08b4a4e7558af9c2c565c3772f5fd64deeb8743fc", 3, 31),
+    ("12,48,3", "minimal-2", "input", None, 58, "bc850e2f4fa7ab32c1decac08b4a4e7558af9c2c565c3772f5fd64deeb8743fc", 2, 31),
     ("12,48,3", "minimal-3", "shuffle", 5, 58, "d42d39e6f47fd0b96b80541155f7256b055206ce6e9541de6b7591c5cc096a6d", 1, 0),
     ("12,48,3", "two-phase", "input", None, 75, "b8c13f469976e6b450e556dec50044db9f4a88ae1af49b9e0384c8220c337ec1", 2, 0),
-    ("14,112,4", "minimal-2", "shuffle", 5, 114, "dbe680d682db81ec6e5fb02c1c5d8916678c29e66bb36f16eb15733594ce0bc1", 3, 83),
+    ("14,112,4", "minimal-2", "shuffle", 5, 114, "dbe680d682db81ec6e5fb02c1c5d8916678c29e66bb36f16eb15733594ce0bc1", 2, 83),
     ("14,112,4", "minimal-3", "input", None, 114, "1aff59322aa9e4f3e5fdbaf6a97b38c9edc6f96989b87ddc2e0cdd8f5852121f", 1, 0),
     ("14,112,4", "two-phase", "shuffle", 5, 150, "f45ffe1573057d6336ae99ee84bd9aaaa3ab091b2f653e0f519e194b138d3761", 2, 0),
 ]
