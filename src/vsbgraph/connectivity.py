@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Collection, Container, Iterable, Iterator, Sequence
+from typing import Collection, Container, Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -122,13 +122,15 @@ class _Table:
     ``settled`` is the highest K at which Even's test on g itself passed
     with this table, so every fan into t >= settled has a count of at
     least settled here (0 if none).  A fan counted above ``settled``
-    holds a spare path, so no test that :meth:`fans` serves can fail it.
+    holds a spare path, so no test of a residual that skips fans by the
+    rule of :func:`_connectivity_at_least` can fail it.
 
     ``tight`` lists the fans into t >= settled counted at most
-    ``settled``, taken at the first :meth:`fans` call, which only a test
-    of a residual makes (None until then), and dropped when ``settled``
-    rises.  No fan joins it later: every fan into t >= settled was
-    counted when ``settled`` last rose, and counts on g only grow.
+    ``settled``, sorted into Even's order.  The first test of a residual
+    that skips fans takes it (None until then), and it is dropped when
+    ``settled`` rises.  No fan joins it later: every fan into t >=
+    settled was counted when ``settled`` last rose, and counts on g only
+    grow.
     """
 
     counts: dict[Item, Count] = field(default_factory=dict)
@@ -176,34 +178,6 @@ class _Table:
             paths = None
         self.counts[item] = count, need <= count < len(starts), paths
         return count, _cut(paths, blocked)
-
-    def fans(self, first: int, blocked: tuple[int, ...], sides: int) -> list[Item]:
-        """The fans that a test at a level K <= settled with a blocked set
-        P, K+|P| <= settled+1, must visit, in Even's order, where
-        ``first`` is its (K+1)-th survivor: those into survivors below
-        ``settled``, and of the tight ones those still counted at most
-        ``settled`` whose kept paths meet P or were dropped, but none
-        into a blocked vertex or below ``first``.  Every other fan passes
-        without a visit (proof in :func:`_connectivity_at_least`)."""
-        settled, counts = self.settled, self.counts
-        if self.tight is None:
-            self.tight = [
-                item
-                for item, (count, _, _) in counts.items()
-                if not item[2] and item[0] >= settled and count <= settled
-            ]
-        visit = [
-            (t, side, ())
-            for t in range(first, settled)
-            if t not in blocked
-            for side in range(sides)
-        ]
-        for fan in self.tight:
-            count, _, paths = counts[fan]
-            if count <= settled and fan[0] >= first and fan[0] not in blocked:
-                if _cut(paths, blocked):
-                    visit.append(fan)
-        return sorted(visit)
 
 
 def _cut(paths: dict[int, int] | None, blocked: tuple[int, ...]) -> int:
@@ -392,23 +366,6 @@ def _orientations(g: Digraph, directed: bool) -> Orientations:
     return (((out, inn), (out, inn)),)
 
 
-def _even_items(
-    orientations: Orientations, alive: Sequence[int], K: int, fans: Iterable[Item]
-) -> Iterator[tuple[Item, tuple[list[set[int]], ...], Collection[int]]]:
-    """The counts of Even's test at connectivity K over the survivors
-    ``alive`` (in id order; only the first K are read): every pair among
-    them, in each orientation, and then the ``fans`` given, in order.
-    Each is yielded as its :data:`Item` followed by the reverse view and
-    the starts to count it on."""
-    for side, (view, reverse) in enumerate(orientations):
-        for a, b in combinations(alive[:K], 2):
-            yield (b, side, (a,)), reverse, set().union(*(adj[a] for adj in view))
-    for fan in fans:
-        t, side, _ = fan
-        # the earlier survivors: every unblocked id below t
-        yield fan, orientations[side][1], range(t)
-
-
 def _connectivity_at_least(
     n: int,
     orientations: Orientations,
@@ -421,7 +378,8 @@ def _connectivity_at_least(
 
     ``orientations`` holds both orientations of a directed graph, or the
     one of an undirected view.  Even's test (SIAM J. Comput. 1975), over
-    the survivors v1 < v2 < ... in id order (:func:`_even_items`):
+    the survivors v1 < v2 < ... in id order, counts these items
+    (:data:`Item`), all pairs before the fans:
 
     - every pair among v1..vK has K internally disjoint paths, in each
       orientation;
@@ -461,12 +419,13 @@ def _connectivity_at_least(
     this table (``table.settled``), a test that asks for K+|P| <= s+1
     paths on g, as every prefix and leaf test of :func:`is_k_vsb`'s
     witness search does, visits only the pairs, the fans into survivors
-    below s and, of the fans into t >= s still counted at most s, those
-    whose kept paths meet P or were dropped (:meth:`_Table.fans`), in
-    the order of the full walk.  That list is taken before the walk, and
-    only its own visit changes a fan's count, so each fan is visited or
-    left out on the count it has at its turn.  Every fan left out passes
-    without a visit.  It is a fan into some t >= s, so the passing test
+    below s and, of the fans into t >= s still counted at most s
+    (``table.tight``, taken sorted by the first such test), those whose
+    kept paths meet P or were dropped, in the order of the full walk.
+    Those tight fans are picked before the walk, and only its own visit
+    changes a fan's count, so each fan is visited or left out on the
+    count it has at its turn.  Every fan left out passes without a
+    visit.  It is a fan into some t >= s, so the passing test
     at level s counted it, and its count c on g is at least s >= K
     (counts on g only grow, since a recount replaces only a count below
     its new cap).  If c > s, it holds a spare path: c >= s+1 >= K+|P|,
@@ -479,31 +438,48 @@ def _connectivity_at_least(
     # the pairs and the fans need only the first K+1 survivors
     alive = [v for v in range(min(n, K + 1 + len(blocked))) if v not in blocked]
     first, sides = alive[K], len(orientations)
-    fans: Iterable[Item]
-    if (
-        table is not None
-        and K <= table.settled
-        and K + len(blocked) <= table.settled + 1
-    ):
-        fans = table.fans(first, blocked, sides)
-    else:
-        # made as walked, so a test that stops at an early item makes no
-        # more items (a list of every fan raised the peak memory of sparse
-        # false verdicts, beside a full table)
-        fans = (
-            (t, side, ())
-            for t in range(first, n)
-            if t not in blocked
-            for side in range(sides)
-        )
-    for item, reverse, starts in _even_items(orientations, alive, K, fans):
+    pairs = [
+        (b, side, (a,))
+        for side in range(sides)
+        for a, b in combinations(alive[:K], 2)
+    ]
+    settled = 0 if table is None else table.settled
+    skips = K <= settled and K + len(blocked) <= settled + 1
+    # made as walked, so a test that stops at an early item makes no more
+    # items (a list of every fan raised the peak memory of sparse false
+    # verdicts, beside a full table)
+    fans = (
+        (t, side, ())
+        for t in range(first, settled if skips else n)
+        if t not in blocked
+        for side in range(sides)
+    )
+    tight_cut: list[Item] = []
+    if skips:
+        counts = table.counts
+        if table.tight is None:
+            table.tight = sorted(
+                item
+                for item, (count, _, _) in counts.items()
+                if not item[2] and item[0] >= settled and count <= settled
+            )
+        for fan in table.tight:
+            count, _, paths = counts[fan]
+            if count <= settled and fan[0] >= first and fan[0] not in blocked:
+                if _cut(paths, blocked):
+                    tight_cut.append(fan)
+    for item in chain(pairs, fans, tight_cut):
+        t, side, own = item
+        view, reverse = orientations[side]
+        # a pair's starts are a's neighbours along the view, a fan's the
+        # earlier survivors: every unblocked id below t
+        starts = set().union(*(adj[own[0]] for adj in view)) if own else range(t)
         if table is not None:
             known, cut = table.count(item, reverse, starts, K, blocked)
             if known < K:
                 return False
             if known - cut >= K:
                 continue
-        t, _, own = item
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False
     if table is not None and not blocked and K > table.settled:

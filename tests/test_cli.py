@@ -80,6 +80,13 @@ class TestGen:
         assert "non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        code = main(["gen", "--n", "10", "--seed", "x", "--out", str(out)])
+        assert code == 2
+        assert "bad seed: 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vertex_limit_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(generator, "MAX_VERTICES", 9)
         out = tmp_path / "inst.txt"
@@ -298,6 +305,19 @@ class TestBench:
 
     def test_empty_sizes_exit_2(self):
         assert main(["bench", "--sizes", ","]) == 2
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--seeds-per-size", "0"], "seeds_per_size must be at least 1"),
+        (["--mult", "0"], "multiplier must be at least 1"),
+    ])
+    def test_zero_count_exits_2_before_any_row(self, monkeypatch, capsys,
+                                               extra, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an invalid plan must not run rows")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(["bench", "--sizes", "10", *extra]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestUnusableFiles:

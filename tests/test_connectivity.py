@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsbgraph import (
+    ConnectivityReport,
     Digraph,
     InstanceSpec,
     TooFewVerticesError,
@@ -233,6 +234,20 @@ class TestKVsb:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             is_k_vsb(complete_bidirected(5), 4)
+
+    @pytest.mark.parametrize("predicate", [is_strongly_connected,
+                                           is_strongly_biconnected])
+    def test_empty_graph_rejected(self, predicate):
+        with pytest.raises(TooFewVerticesError):
+            predicate(Digraph(0))
+
+    def test_report_holds_a_witness_exactly_when_false(self):
+        witness = Witness(VERTEX_CUT, (0,))
+        for verdict, args in ((True, (witness,)), (False, ())):
+            with pytest.raises(ValueError, match="witness"):
+                ConnectivityReport(verdict, *args)
+        for report in (ConnectivityReport(True), ConnectivityReport(False, witness)):
+            assert bool(report) is report.verdict
 
     def test_witness_is_minimal_size_and_lex_first(self):
         # C5 is strongly biconnected, so the scan reaches the singletons
@@ -599,33 +614,59 @@ def assert_search_agrees(g: Digraph, k: int, tables) -> int:
     return size
 
 
-def assert_visits_sound(g: Digraph, k: int, tables) -> int:
-    """Run is_k_vsb's size tests on g with ``tables``, then its witness
-    search's prefix and leaf tests in order; before each test, at each
-    level K the table has settled, every fan of the residual that
-    _Table.fans leaves out must have K disjoint paths there, counted
-    afresh.  Returns the number of fans left out."""
+class _Recorded(_Table):
+    """A table that records each item its count is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.visits = []
+
+    def count(self, item, *args):
+        self.visits.append(item)
+        return super().count(item, *args)
+
+
+def search_walks(g: Digraph, k: int):
+    """Run is_k_vsb's size tests on g with recording tables, then each
+    half of every prefix and leaf test of its witness search on its own,
+    in the order the search tests them.  Yields each half's walk as
+    (table, orientations, K, blocked, verdict, the items it handed to
+    _Table.count in order)."""
+    tables = (_Recorded(), _Recorded())
     size = next(
         (s for s in range(k - 1, 0, -1) if _vsb_at_least(g, s, (), tables)), 0
     )
-    skipped = 0
     for blocked in search_order(g.n, size):
         level = size - len(blocked) + 1
-        survivors = [v for v in range(g.n) if v not in blocked]
         for directed, table in zip((True, False), tables):
             K = level + (not directed)
-            if K > table.settled or len(survivors) <= K:
+            if g.n - len(blocked) <= K:
                 continue
-            orientations = connectivity._orientations(g, directed)
-            visited = table.fans(survivors[K], blocked, len(orientations))
-            for t in survivors[K:]:
-                for side, (_, reverse) in enumerate(orientations):
-                    if (t, side, ()) in visited:
-                        continue
-                    skipped += 1
-                    paths = _disjoint_paths(reverse, range(t), t, K, blocked)
-                    assert paths >= K, (g.edges(), blocked, K, t, side)
-        _vsb_at_least(g, level, blocked, tables)
+            orientations = _orientations(g, directed)
+            table.visits = []
+            verdict = _connectivity_at_least(g.n, orientations, K, blocked, table)
+            yield table, orientations, K, blocked, verdict, table.visits
+
+
+def assert_visits_sound(g: Digraph, k: int) -> int:
+    """Every fan of a residual that a walk of search_walks did not visit
+    must have K disjoint paths there, counted afresh: every such fan of a
+    passing walk, and of a failing one those before the fan it failed on
+    (none if it failed on a pair).  Returns the number of fans checked."""
+    skipped = 0
+    for _, orientations, K, blocked, verdict, visits in search_walks(g, k):
+        if not verdict and visits[-1][2]:
+            continue
+        visited = set(visits)
+        survivors = [v for v in range(g.n) if v not in blocked]
+        for t in survivors[K:]:
+            for side, (_, reverse) in enumerate(orientations):
+                fan = (t, side, ())
+                if fan in visited or not (verdict or fan < visits[-1]):
+                    continue
+                skipped += 1
+                paths = _disjoint_paths(reverse, range(t), t, K, blocked)
+                assert paths >= K, (g.edges(), blocked, K, t, side)
     return skipped
 
 
@@ -643,12 +684,12 @@ def recorded_tables(g: Digraph, k: int, base=_Table):
 
 
 def assert_index_holds(table: _Table) -> None:
-    """Before the first _Table.fans call, or since settled last rose,
-    nothing is listed; from then on every fan into t >= settled counted
-    at most settled is in the tight list, which holds no pair and no fan
-    into t < settled.  Those fans are visited by every test and may be
-    counted later; a fan counted above settled holds a spare path, and a
-    recount may lift a listed fan there."""
+    """Before the first residual test that skips fans, or since settled
+    last rose, nothing is listed; from then on every fan into t >=
+    settled counted at most settled is in the tight list, which holds no
+    pair and no fan into t < settled.  Those fans are visited by every
+    test and may be counted later; a fan counted above settled holds a
+    spare path, and a recount may lift a listed fan there."""
     if table.tight is None:
         return
     for item, (count, _, _) in table.counts.items():
@@ -1264,9 +1305,9 @@ class TestMengerVerdict:
         # after a false verdict, each table lists its tight fans as
         # assert_index_holds says, whether it kept their paths or not, also
         # on the near-miss of the last vertex, whose fans the witness search
-        # must visit.  The list is taken at the first _Table.fans call,
-        # which only a prefix or leaf test makes; a table that none made
-        # lists nothing yet, and taking it then lists every tight fan
+        # must visit.  The list is taken by the first test of a residual at
+        # a settled level; a table that no such test read lists nothing
+        # yet, and one residual test at level settled takes it then
         graphs = [g]
         if len(g._in[g.n - 1]) >= 2:
             graphs.append(near_miss(g, g.n - 1))
@@ -1275,17 +1316,22 @@ class TestMengerVerdict:
                 for base in (_Table, _Pathless):
                     report, tables = recorded_tables(h, k, base)
                     assert len(tables) == 2 * (not report.verdict)
-                    for table in tables:
+                    for table, directed in zip(tables, (True, False)):
                         assert_index_holds(table)
-                        table.fans(h.n, (), 1)
-                        assert_index_holds(table)
+                        K = table.settled
+                        if K and h.n - 1 > K:
+                            _connectivity_at_least(
+                                h.n, _orientations(h, directed), K, (0,), table
+                            )
+                            assert table.tight is not None
+                            assert_index_holds(table)
 
     def test_visit_list_leaves_out_only_passing_fans(self):
-        # Even's test with a settled table visits only the fans
-        # _Table.fans lists; every fan it leaves out must pass on the
-        # residual, which a check of verdicts alone would miss where a
-        # skipped fan happens to pass.  Half the graphs are near-misses of
-        # a late vertex, whose fans the witness search must visit
+        # Even's test with a settled table skips most fans; every fan it
+        # leaves out before its verdict must pass on the residual, which a
+        # check of verdicts alone would miss where a skipped fan happens
+        # to pass.  Half the graphs are near-misses of a late vertex, whose
+        # fans the witness search must visit
         rng = random.Random(15)
         skipped = 0
         graphs = [block_ring(3), near_miss(block_ring(3), 15)]
@@ -1299,8 +1345,46 @@ class TestMengerVerdict:
                     g = near_miss(g, v)
                 graphs.append(g)
         for g in graphs:
-            skipped += assert_visits_sound(g, 3, (_Table(), _Table()))
+            skipped += assert_visits_sound(g, 3)
         assert skipped > 1000
+
+    def test_visits_come_in_even_order(self):
+        # a settled prefix or leaf test hands _Table.count the items in the
+        # order of Even's walk: the pairs, side by side, then the fans
+        # strictly increasing in (t, side), the tight ones after those into
+        # survivors below settled.  The tight list is sorted when it is
+        # taken, not per test; some tests here visit several tight fans.
+        # The table need not count the tight fans in order.  In the last
+        # graph, vertex 6 keeps one in-arc, from 7, so the level-2 size test
+        # fails at the fan into 6, and the level-1 test then counts the fan
+        # into 1.  Both fans' paths run through 2 (0 -> 2 -> 1 and
+        # 2 -> 7 -> 6), and both pass with 2 deleted
+        tool = load_bench_compare()
+        several = 0
+        for g in (
+            tool.build("check_n50_near_miss", vsbgraph),
+            near_miss(generate(InstanceSpec(50, 800, 1)).graph, 7),
+            near_miss(generate(InstanceSpec(100, seed=1)).graph, 7),
+            block_ring(3),
+            Digraph(8, [(u, v) for u, v in complete_bidirected(8).edges()
+                        if (u, v) not in ((0, 1), (0, 7), (1, 7))
+                        and (v != 6 or u == 7)]),
+        ):
+            for table, orientations, K, blocked, verdict, visits in search_walks(g, 3):
+                assert K <= table.settled
+                alive = [v for v in range(g.n) if v not in blocked][:K]
+                pairs = [
+                    (b, side, (a,))
+                    for side in range(len(orientations))
+                    for a, b in combinations(alive, 2)
+                ]
+                fans = visits[len(pairs):]
+                assert visits[:len(pairs)] == pairs[:len(visits)]
+                assert all(not own for _, _, own in fans)
+                assert all(a[:2] < b[:2] for a, b in zip(fans, fans[1:])), (
+                    blocked, fans)
+                several += sum(t >= table.settled for t, _, _ in fans) > 1
+        assert several
 
     def test_index_follows_a_rising_settled(self):
         # a tight list taken at settled = s leaves out the fans counted at
@@ -1324,8 +1408,10 @@ class TestMengerVerdict:
             for base in (_Table, _Pathless):
                 tables = (base(), base())
                 assert _vsb_at_least(g, 1, (), tables)
-                for table, sides in zip(tables, (2, 1)):
-                    table.fans(g.n, (), sides)
+                for table, directed in zip(tables, (True, False)):
+                    _connectivity_at_least(
+                        g.n, _orientations(g, directed), table.settled, (0,), table
+                    )
                     assert table.tight is not None
                 assert _vsb_at_least(g, 2, (), tables)
                 assert [table.settled for table in tables] == [2, 3]

@@ -29,6 +29,10 @@ class TestBuild:
         assert g.m == 3
         assert g.edges() == C3_EDGES
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Digraph(-1)
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
             Digraph(2, [(0, 0)])

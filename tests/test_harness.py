@@ -29,6 +29,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ExperimentPlan(sizes=())
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"seeds_per_size": 0}, "seeds_per_size"),
+        ({"multiplier": 0}, "multiplier"),
+    ])
+    def test_zero_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(sizes=(10,), **counts)
+
     def test_small_size_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(sizes=(3,))
