@@ -219,33 +219,40 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of ``argv``, or of any command line if argv is None.
-
-    When argv begins with a command name, argparse dispatches on that
-    token, so only that command's subparser is built, and the four names,
-    passed as the subparsers' metavar, keep the top-level usage line as
-    it is.  Any other argv (no command, top-level help, an unknown or
-    misplaced command) gets every subparser and no metavar, which would
-    rename the command argument in error lines, so its help and error
-    lines list every command as before.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for a line that :func:`_parse` does
+    not settle with one command's parser."""
     parser = argparse.ArgumentParser(
         prog="vsbgraph",
         description="Test and thin k-vertex strongly biconnected digraphs.",
     )
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if named is None else "{" + ",".join(_COMMANDS) + "}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, handler) in _COMMANDS.items():
-        if named in (None, name):
-            command = sub.add_parser(name, help=help_line)
-            add_arguments(command)
-            command.set_defaults(handler=handler)
+        command = sub.add_parser(name, help=help_line)
+        add_arguments(command)
+        command.set_defaults(handler=handler)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of a command line, as :func:`_build_parser` parses them.
+
+    A line that begins with a command name is parsed by that command's
+    parser alone, built as :func:`_build_parser` builds its subparser;
+    that gives the same arguments, help and errors, since the full
+    parser hands the command everything after its name.  Only what the
+    command leaves over is reported by the full parser, so a line with
+    arguments left over, like one that names no command, goes to it.
+    """
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments, handler = _COMMANDS[argv[0]]
+        command = argparse.ArgumentParser(prog=f"vsbgraph {argv[0]}")
+        add_arguments(command)
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.handler = handler
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -258,9 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Collection, Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import TooFewVerticesError
@@ -141,14 +141,13 @@ class _Table:
     def count(
         self,
         item: Item,
-        reverse: tuple[list[set[int]], ...],
-        starts: Collection[int],
+        orientation: tuple[tuple[list[set[int]], ...], ...],
         K: int,
         blocked: tuple[int, ...],
     ) -> tuple[int, int]:
-        """g's count c of item and the number h of its paths that blocked
-        vertices cut: at least c-h paths avoid them, and c is exact if
-        c-h < K.
+        """g's count c of item along ``orientation`` (its view and reverse)
+        and the number h of its paths that blocked vertices cut: at least
+        c-h paths avoid them, and c is exact if c-h < K.
 
         The item is counted on g, capped at K + |blocked|, when it has no
         count yet, or when its count reached its cap and fewer than K of
@@ -168,6 +167,11 @@ class _Table:
             if count - cut >= K or not capped:
                 return count, cut
         t, _, own = item
+        view, reverse = orientation
+        # made only here, where g is counted, and in the walk, where a
+        # residual is: a pair's starts are a's neighbours along the view,
+        # a fan's the earlier survivors, every unblocked id below t
+        starts = set().union(*(adj[own[0]] for adj in view)) if own else range(t)
         # each path takes a start of its own, so no more can exist
         need = min(K + len(blocked), len(starts))
         paths: dict[int, int] | None = {}
@@ -470,16 +474,15 @@ def _connectivity_at_least(
                     tight_cut.append(fan)
     for item in chain(pairs, fans, tight_cut):
         t, side, own = item
-        view, reverse = orientations[side]
-        # a pair's starts are a's neighbours along the view, a fan's the
-        # earlier survivors: every unblocked id below t
-        starts = set().union(*(adj[own[0]] for adj in view)) if own else range(t)
         if table is not None:
-            known, cut = table.count(item, reverse, starts, K, blocked)
+            known, cut = table.count(item, orientations[side], K, blocked)
             if known < K:
                 return False
             if known - cut >= K:
                 continue
+        view, reverse = orientations[side]
+        # the item's starts, as _Table.count makes them
+        starts = set().union(*(adj[own[0]] for adj in view)) if own else range(t)
         if _disjoint_paths(reverse, starts, t, K, blocked + own) < K:
             return False
     if table is not None and not blocked and K > table.settled:

@@ -38,9 +38,12 @@ MAX_FIELD_DIGITS = 18
 
 _COMMENT = re.compile(r"^#.*\n?", re.MULTILINE)
 # a whole edge list with its comment lines dropped, when every line is
-# well formed: the header, then the arc lines, the final newline optional
+# well formed: the header, then the arc lines, the final newline optional.
+# The arc lines are matched possessively (Python 3.11): only a newline may
+# follow them, so giving one back never helps, and a text that fails is
+# rejected without a step back per line.
 _FIELD = rf"\d{{1,{MAX_FIELD_DIGITS}}}"
-_EDGE_LIST = re.compile(rf"({_FIELD}) ({_FIELD})((?:\n{_FIELD} {_FIELD})*)\n?")
+_EDGE_LIST = re.compile(rf"({_FIELD}) ({_FIELD})((?:\n{_FIELD} {_FIELD})*+)\n?")
 
 
 class Digraph:
@@ -52,17 +55,36 @@ class Digraph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        # the arcs present, in insertion order
-        self._edges: dict[tuple[int, int], None] = {}
-        self._out: list[set[int]] = [set() for _ in range(n)]
-        self._in: list[set[int]] = [set() for _ in range(n)]
-        arcs, out, inn = self._edges, self._out, self._in
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v or (u, v) in arcs:
-                self.add_edge(u, v)  # raises the error for the first bad arc
-            arcs[(u, v)] = None
-            out[u].add(v)
-            inn[v].add(u)
+        out: list[set[int]] = [set() for _ in range(n)]
+        inn: list[set[int]] = [set() for _ in range(n)]
+        # built in bulk and then checked as a whole; edges is read once
+        arcs = list(edges)
+        try:
+            # the arcs present, in insertion order
+            present = dict.fromkeys(map(tuple, arcs))
+            for u, v in present:
+                out[u].add(v)
+                inn[v].add(u)
+            # no repeated arc, no self-loop and no negative id, which
+            # indexes a real set from the end (every id is in some set)
+            clean = (
+                len(present) == len(arcs)
+                and not any(map(set.__contains__, out, range(n)))
+                and min(set().union(*out, *inn), default=0) >= 0
+            )
+        except (TypeError, ValueError, IndexError):
+            # an arc that is no pair of ints, or an id >= n
+            clean = False
+        if clean:
+            self._edges: dict[tuple[int, int], None] = present
+            self._out, self._in = out, inn
+            return
+        # arc by arc, so that the first bad arc raises its error
+        self._edges = {}
+        self._out = [set() for _ in range(n)]
+        self._in = [set() for _ in range(n)]
+        for u, v in arcs:
+            self.add_edge(u, v)
 
     @property
     def m(self) -> int:
@@ -138,12 +160,15 @@ def parse_edge_list(text: str) -> Digraph:
     """
     if not text.isascii():
         raise EdgeListSyntaxError("edge-list text must be ASCII")
-    match = _EDGE_LIST.fullmatch(_COMMENT.sub("", text))
+    match = _EDGE_LIST.fullmatch(_COMMENT.sub("", text) if "#" in text else text)
     if match is None:
         _raise_line_error(text)
     n, m, body = match.groups()
     _check_sizes(int(n), int(m), body.count("\n"))
-    numbers = map(int, body.split())
+    fields = body.split()
+    # ids repeat, so each distinct field is converted once
+    value = {field: int(field) for field in set(fields)}
+    numbers = map(value.__getitem__, fields)
     return Digraph(int(n), zip(numbers, numbers))
 
 

@@ -1,9 +1,10 @@
 """The edge-list parser as it read every file line by line, before the
 whole-text match: a reference for ``digraph.parse_edge_list``.
 
-The graph is built one ``add_edge`` call per arc, as ``Digraph`` built
-it then.  The tests check that both parsers return the same graph, or
-raise the same exception class with the same message, on the same text.
+The graph is built one ``add_edge`` call per arc (``reference_build``),
+as ``Digraph`` built it then: a reference for ``Digraph(n, arcs)``.  The
+tests check that both parsers return the same graph, or raise the same
+exception class with the same message, on the same text.
 The size limits are read from ``vsbgraph.digraph`` at each call, so a
 test that patches them patches both parsers.
 """
@@ -53,8 +54,13 @@ def reference_parse(text: str) -> Digraph:
                 f"line {lineno}: expected 'u v', got {line!r}"
             )
         edges.append(_fields(match, lineno))
+    return reference_build(n, edges)
+
+
+def reference_build(n: int, arcs) -> Digraph:
+    """A graph on n vertices with the arcs added one by one."""
     g = Digraph(n)
-    for u, v in edges:
+    for u, v in arcs:
         g.add_edge(u, v)
     return g
 

@@ -115,6 +115,24 @@ def test_ingest_counts_on_commented_check_n50():
     assert row["parsed"] == row["instance"] != row["text"]
 
 
+def test_ingest_runs_the_cli_check_in_process(tmp_path):
+    # cli_check is cli.main on a file of the instance's text, its stdout
+    # captured; its stdout and exit code are compared, and it is timed in
+    # pairs beside the parser
+    row = counted("ingest", "check_n50_commented")
+    assert row["cli_check"] == {"stdout": "true\n", "returncode": 0}
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert {"cli_check.stdout", "cli_check.returncode"} <= set(
+        tool.SUITES["ingest"].compared)
+    shutil.copytree(ROOT / "src" / "vsbgraph", tmp_path / "vsbgraph_base")
+    done = run("ingest", "--measure", "check_n50", "--repeat", "2",
+               path=os.pathsep.join([str(ROOT / "src"), str(tmp_path)]))
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["paired"]["cli_check"]["ratios"]) == 2
+
+
 def test_generate_counts_on_grow_0():
     # the sample is the first 48 arcs of the grown instance
     row = counted("generate", "grow_0")

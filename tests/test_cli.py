@@ -420,6 +420,15 @@ class TestUsage:
             ["minimize", "--in", k4, "--algo", "greedy", "--out", out],
             ["bench", "--sizes", "x"], ["-x", "check", "--in", k4],
             ["frobnicate"], ["frobnicate", "check"], ["che", "--in", k4],
+            ["check", "--in", k4, "--frobnicate"],
+            ["check", "--in", k4, "--k=3", "-x", "1"],
+            ["minimize", "--in", k4, "--algo", "minimal", "--out", out, "extra"],
+            ["gen", "--n", "5", "--seed", "1", "--out", out, "extra"],
+            ["check", "--i", k4], ["minimize", "--i", k4, "--algo", "minimal",
+                                   "--o", out],
+            ["check", "--", "--in", k4], ["check", "--in", k4, "--"],
+            ["check", "--in", k4, "--", "extra"], ["gen", "--"],
+            ["check", "--in", "--k"], ["check", "--in", k4, "-h", "extra"],
         ]
         for argv in lines:
             code = main(argv)
@@ -427,11 +436,21 @@ class TestUsage:
             want = with_every_argument(argv), capsys.readouterr()
             assert got == want, argv
 
-    def test_other_commands_get_no_arguments(self, capsys):
-        # the parser built for a check line does not know gen at all, so
-        # neither its options; its usage line still names every command
-        with pytest.raises(SystemExit):
-            cli._build_parser(["check"]).parse_args(["gen", "--n", "5"])
-        err = capsys.readouterr().err
-        assert "invalid choice: 'gen' (choose from 'check')" in err
-        assert "usage: vsbgraph [-h] {gen,check,minimize,bench} ..." in err
+    def test_other_commands_get_no_arguments(self, tmp_path, monkeypatch):
+        # a check line builds the check command's arguments alone; a line
+        # with an argument left over goes to the parser of every command,
+        # which reports it
+        k4 = write_graph(tmp_path / "k4.txt", complete_bidirected(4))
+        built = []
+        for name, (help_line, add_arguments, handler) in cli._COMMANDS.items():
+            def recording(parser, name=name, add_arguments=add_arguments):
+                built.append(name)
+                add_arguments(parser)
+
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                (help_line, recording, handler))
+        assert main(["check", "--in", k4]) == 0
+        assert built == ["check"]
+        built.clear()
+        assert main(["check", "--in", k4, "extra"]) == 2
+        assert built == ["check", "gen", "check", "minimize", "bench"]

@@ -1048,7 +1048,7 @@ class TestDisjointPaths:
             t, _, own = item
             found = table.counts.get(item)
             searches.clear()
-            count, cut = table.count(item, reverse, starts, K, blocked)
+            count, cut = table.count(item, (view, reverse), K, blocked)
             spent = len(searches)
             if table.counts.get(item) is found:
                 return  # decided from the count it had
@@ -1131,7 +1131,7 @@ class TestDisjointPaths:
         # for one path and stops there, capped, without a spare
         g = Digraph(7, [(0, 3), (3, 4), (4, 2), (1, 5), (5, 6), (6, 2)])
         table = _Table()
-        assert table.count((2, 0, ()), (g._in,), range(2), 1, ()) == (1, 0)
+        assert table.count((2, 0, ()), ((g._out,), (g._in,)), 1, ()) == (1, 0)
         assert table.counts[2, 0, ()][:2] == (1, True)
 
     def test_augmenting_path_reroutes_a_path(self):
@@ -1469,11 +1469,11 @@ class TestMengerVerdict:
         count = _Table.count
         visited = []
 
-        def recording(table, item, reverse, starts, K, blocked):
+        def recording(table, item, orientation, K, blocked):
             if blocked and not item[2]:
                 known = table.counts.get(item, (0,))[0]
                 visited.append(known <= table.settled)
-            return count(table, item, reverse, starts, K, blocked)
+            return count(table, item, orientation, K, blocked)
 
         monkeypatch.setattr(_Table, "count", recording)
         for g, cut in (

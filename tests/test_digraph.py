@@ -17,9 +17,32 @@ from vsbgraph import (
 )
 
 from graphutil import digraphs
-from reference_parse import reference_parse
+from reference_parse import reference_build, reference_parse
 
 C3_EDGES = [(0, 1), (1, 2), (2, 0)]
+
+
+@st.composite
+def arc_lists(draw):
+    """(n, arcs): mostly arcs of n vertices, some of them repeated; the
+    rest may hold ids outside [0, n), self-loops, and arcs that are
+    lists or have one or three ids."""
+    n = draw(st.integers(0, 6))
+    ids = st.integers(-8, 8)
+    if n:
+        ids = st.one_of(st.integers(0, n - 1), ids)
+    arc = st.one_of(
+        st.tuples(ids, ids),
+        st.lists(ids, min_size=2, max_size=2),
+        st.one_of(st.tuples(ids), st.tuples(ids, ids, ids)),
+    )
+    good = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(good), unique=True)) if good else []
+    if draw(st.booleans()):
+        arcs.insert(draw(st.integers(0, len(arcs))), draw(arc))
+    if arcs and draw(st.booleans()):
+        arcs.append(draw(st.sampled_from(arcs)))
+    return n, arcs
 
 
 class TestBuild:
@@ -77,6 +100,25 @@ class TestBuild:
         assert g._out == [{1}, {2}, {0}]
         assert g._in == [{2}, {0}, {1}]
         assert g.in_neighbors(0) == {2}
+
+    @settings(max_examples=500)
+    @example((3, [(0, 1), (-1, 0)]))  # -1 indexes vertex 2's sets
+    @example((3, [(0, 1), (1, -3)]))  # -3 indexes vertex 0's sets
+    @example((3, [(0, 1), (2, 3), (1, 1)]))
+    @example((3, [(0, 1), [0, 1]]))
+    @example((3, [[1, 2], (2, 2), [0, 1, 2]]))
+    @example((3, [(0, 1), [0]]))
+    @example((0, []))
+    @given(arc_lists())
+    def test_same_outcome_as_arc_by_arc_build(self, case):
+        # the bulk build gives the graph that add_edge gives arc by arc,
+        # or the error of its first bad arc: ids below 0 (which index a
+        # real set from the end) or at least n, self-loops, repeated
+        # arcs, arcs given as lists or of the wrong length, and the arcs
+        # read from a one-shot iterator
+        n, arcs = case
+        assert outcome(lambda arcs: Digraph(n, iter(arcs)), arcs) == outcome(
+            lambda arcs: reference_build(n, arcs), arcs)
 
 
 class TestRemoveRestore:

@@ -60,11 +60,14 @@ test is the one a clean sweep makes of its result.  R=1 takes minutes,
 mostly in the traced runs of the sparse false instances.
 
 ``ingest`` times ``parse_edge_list`` on the instance's edge-list text,
-``Digraph(n, edges)`` on its edge list and ``g.copy()``, and compares
+``Digraph(n, edges)`` on its edge list, ``g.copy()`` and, as
+``cli_check``, an in-process ``cli.main(["check", "--k", "3", "--in",
+FILE])`` on a file of that text, its output captured; it compares
 SHA-256 digests of the text and of ``serialize_edge_list`` of the parsed
-graph.  Instances: the perfbench ``check`` instance, the same text with
-a comment line before every 100th line, and ``generate(InstanceSpec(
-1000, seed=1))``.  R=5 takes about a minute.
+graph, and ``cli_check``'s stdout and exit code.  Instances: the
+perfbench ``check`` instance, the same text with a comment line before
+every 100th line, and ``generate(InstanceSpec(1000, seed=1))``.  R=5
+takes about a minute.
 
 ``generate`` times ``random_digraph(spec)`` and ``generate(spec)``,
 compares the SHA-256 digest of the sample and ``edges_added_in_growth``,
@@ -90,9 +93,12 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
 import hashlib
+import importlib
 import inspect
+import io
 import json
 import os
 import platform
@@ -280,19 +286,48 @@ def ingest_text(lib, g, name: str) -> str:
     return "".join(lines)
 
 
+def edge_list_file(text: str, name: str) -> str:
+    """A temporary file holding text, deleted when this process exits."""
+    handle, path = tempfile.mkstemp(prefix=f"{name}_", suffix=".txt")
+    atexit.register(os.unlink, path)
+    with os.fdopen(handle, "w", encoding="ascii") as file:
+        file.write(text)
+    return path
+
+
+def cli_check(lib, g, name: str) -> Callable[[], tuple[str, int]]:
+    """In-process ``cli.main(["check", "--k", "3", "--in", path])`` on the
+    file of g's ingest text, as a function that runs it once and returns
+    its captured stdout and its exit code."""
+    main = importlib.import_module(f"{lib.__name__}.cli").main
+    path = edge_list_file(ingest_text(lib, g, name), name)
+    argv = ["check", "--k", "3", "--in", path]
+
+    def run() -> tuple[str, int]:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        return out.getvalue(), code
+
+    return run
+
+
 def ingest_operations(lib, g, name: str) -> dict:
     Digraph, parse_edge_list = lib.Digraph, lib.parse_edge_list
     text, edges = ingest_text(lib, g, name), g.edges()
     return {"parse_edge_list": lambda: parse_edge_list(text),
             "Digraph": lambda: Digraph(g.n, edges),
-            "copy": g.copy}
+            "copy": g.copy,
+            "cli_check": cli_check(lib, g, name)}
 
 
 def ingest_counts(lib, g, name: str) -> dict:
-    """Digests of the text and of the graph parsed from it."""
+    """Digests of the text and of the graph parsed from it, and the
+    stdout and exit code of ``cli_check``."""
     text = ingest_text(lib, g, name)
+    stdout, code = cli_check(lib, g, name)()
     return {"text": sha(text),
-            "parsed": sha(lib.serialize_edge_list(lib.parse_edge_list(text)))}
+            "parsed": sha(lib.serialize_edge_list(lib.parse_edge_list(text))),
+            "cli_check": {"stdout": stdout, "returncode": code}}
 
 
 def startup_process(lib, g, name: str) -> Callable[[], subprocess.CompletedProcess]:
@@ -301,10 +336,7 @@ def startup_process(lib, g, name: str) -> Callable[[], subprocess.CompletedProce
     (a temporary file, deleted when this process exits)."""
     command = [sys.executable, "-c", "import vsbgraph"]
     if g is not None:
-        handle, path = tempfile.mkstemp(prefix=f"{name}_", suffix=".txt")
-        atexit.register(os.unlink, path)
-        with os.fdopen(handle, "w", encoding="ascii") as file:
-            file.write(lib.serialize_edge_list(g))
+        path = edge_list_file(lib.serialize_edge_list(g), name)
         command = [sys.executable, "-m", "vsbgraph", "check", "--k", "3",
                    "--in", path]
     return lambda: subprocess.run(command, capture_output=True, text=True)
@@ -389,7 +421,8 @@ SUITES = {
                       "generated_n200", "generated_n1000", "minimal_output_n1000"],
                      verdict_operations, verdict_counts, ["witness"]),
     "ingest": Suite(["check_n50", "check_n50_commented", "generated_n1000"],
-                    ingest_operations, ingest_counts, ["text", "parsed"]),
+                    ingest_operations, ingest_counts,
+                    ["text", "parsed", "cli_check.stdout", "cli_check.returncode"]),
     "generate": Suite([*GROW, "check_n50", "generated_n100", "generated_n1000",
                        "complete_n300"],
                       generate_operations, generate_counts,
