@@ -34,7 +34,8 @@ def arc_lists(draw):
     arc = st.one_of(
         st.tuples(ids, ids),
         st.lists(ids, min_size=2, max_size=2),
-        st.one_of(st.tuples(ids), st.tuples(ids, ids, ids)),
+        st.tuples(ids),
+        st.tuples(ids, ids, ids),
     )
     good = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(good), unique=True)) if good else []
