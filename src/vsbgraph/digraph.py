@@ -59,9 +59,14 @@ class Digraph:
         inn: list[set[int]] = [set() for _ in range(n)]
         # built in bulk and then checked as a whole; edges is read once
         arcs = list(edges)
+        # the arcs as tuples, which the rebuild reads too: tuple() uses up
+        # an arc given as an iterator, and extend keeps the arcs converted
+        # before one that fails
+        pairs: list[tuple[int, int]] = []
         try:
+            pairs.extend(map(tuple, arcs))
             # the arcs present, in insertion order
-            present = dict.fromkeys(map(tuple, arcs))
+            present = dict.fromkeys(pairs)
             for u, v in present:
                 out[u].add(v)
                 inn[v].add(u)
@@ -83,7 +88,7 @@ class Digraph:
         self._edges = {}
         self._out = [set() for _ in range(n)]
         self._in = [set() for _ in range(n)]
-        for u, v in arcs:
+        for u, v in pairs + arcs[len(pairs) :]:
             self.add_edge(u, v)
 
     @property

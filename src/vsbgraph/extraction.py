@@ -1,15 +1,17 @@
 """Sparse spanning-subgraph extraction by greedy single-edge deletion.
 
 Both strategies run the same greedy sweep over a k-vertex strongly
-biconnected input: walk the candidate edges once, drop each edge whose
-removal keeps the graph k-vsb, and skip the edges marked *protected*.
+biconnected input: walk the candidate edges once and drop each edge
+whose removal keeps the graph k-vsb.  Each caller hands the sweep
+exactly the edges that may go, in the order to try them.
 
-* :func:`minimal_k_vsb` sweeps every edge with nothing protected.  The
-  result is minimal: no remaining edge can be removed without breaking
-  the property.
-* :func:`two_phase_3vsb` first extracts a 2-vsb spanning backbone whose
-  edges become protected, then sweeps at k=3.  The result is not
-  guaranteed minimal (protected edges are never tried).
+* :func:`minimal_k_vsb` sweeps every edge.  The result is minimal: no
+  remaining edge can be removed without breaking the property.
+* :func:`two_phase_3vsb` first extracts a 2-vsb spanning backbone, whose
+  edges are protected, then sweeps at k=3 the edges outside it: the
+  backbone's ``removed``, which holds every non-backbone edge in
+  candidate order.  The result is not guaranteed minimal (protected
+  edges are never tried).
 
 The sweep is optimistic.  It first walks the candidates with the degree
 rule alone: an edge goes unless its removal puts an endpoint below the
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from .connectivity import (
     _check_level,
@@ -149,16 +151,15 @@ def _require_k_vsb(g: Digraph, k: int) -> int:
 def _walk(
     g: Digraph,
     k: int,
-    candidates: list[Edge],
-    protected: frozenset[Edge],
+    candidates: Sequence[Edge] | None,
     local: Digraph | None = None,
 ) -> tuple[Digraph, tuple[Edge, ...], int]:
-    """One greedy pass over g's degree counts, skipping the protected
-    candidates and those g lacks; g is not changed.  A candidate goes
-    unless its removal puts an end below the degree bound
-    (``connectivity._slacks``) or, given ``local``, a copy of the k-vsb
-    graph g, fails the local test ``_stays_k_vsb`` there; ``local`` loses
-    the arcs that go.
+    """One greedy pass over g's degree counts through ``candidates``,
+    distinct arcs of g that may all go (None: every arc of g, in g's
+    order); g is not changed.  A candidate goes unless its removal puts
+    an end below the degree bound (``connectivity._slacks``) or, given
+    ``local``, a copy of the k-vsb graph g, fails the local test
+    ``_stays_k_vsb`` there; ``local`` loses the arcs that go.
 
     Returns g's kept edges as a new graph in g's edge order, the removed
     edges in candidate order and the number of local tests made.
@@ -171,9 +172,9 @@ def _walk(
         out[x] = inn[x] = 0
     removed: dict[Edge, None] = {}
     tests = 0
-    for e in candidates:
+    for e in arcs if candidates is None else candidates:
         u, v = e
-        if not (out[u] and inn[v] and e in arcs) or e in protected:
+        if not (out[u] and inn[v]):
             continue
         # the neighbour slacks fall unless the reverse arc stays
         lone = (v, u) in removed or (v, u) not in arcs
@@ -195,8 +196,7 @@ def _walk(
 def _sweep(
     g: Digraph,
     k: int,
-    candidates: list[Edge],
-    protected: frozenset[Edge],
+    candidates: Sequence[Edge] | None,
     start: float,
     precondition: Callable[[], int] | None = None,
     full_tests: int = 0,
@@ -204,29 +204,30 @@ def _sweep(
 ) -> ExtractionResult:
     """The greedy deletion sweep every extractor runs (module docstring).
 
-    The degree-only walk and its check come first; if the check fails,
-    the fallback runs ``precondition`` and then the local-test walk,
-    whose output is k-vsb by induction.  ``precondition`` raises
-    :class:`NotKVsbError` unless g is k-vsb and returns the number of
-    full tests it made; by default it is ``is_k_vsb(g, k)``.  The
-    backbone's precondition also grows g, which is a prefix of its input,
-    to the shortest 2-vsb prefix (:func:`compute_2vsb_spanning`).
-    ``removed`` keeps candidate order, ``protected`` input-edge order.
+    Both walks go through ``candidates``, the arcs of g that may go, or,
+    when None, through every arc g holds at that walk.  The degree-only
+    walk and its check come first; if the check fails, the fallback runs
+    ``precondition`` and then the local-test walk, whose output is k-vsb
+    by induction.  ``precondition`` raises :class:`NotKVsbError` unless
+    g is k-vsb and returns the number of full tests it made; by default
+    it is ``is_k_vsb(g, k)``.  The backbone's precondition also grows g,
+    which is a prefix of its input, to the shortest 2-vsb prefix
+    (:func:`compute_2vsb_spanning`).
+    ``removed`` keeps candidate order and ``protected`` is empty.
     ``start`` is the caller's ``time.perf_counter()`` reading and
     ``full_tests``/``flow_tests`` its counts so far; the stats include
     them.
     """
-    work, removed, _ = _walk(g, k, candidates, protected)
+    work, removed, _ = _walk(g, k, candidates)
     full_tests += 1
     if not _vsb_at_least(work, k, ()):
         full_tests += precondition() if precondition else _require_k_vsb(g, k)
-        work, removed, local_tests = _walk(g, k, candidates, protected, g.copy())
+        work, removed, local_tests = _walk(g, k, candidates, g.copy())
         flow_tests += local_tests
     stats = ExtractionStats(
         g.m, work.m, full_tests, flow_tests, time.perf_counter() - start
     )
-    in_order = tuple(e for e in g.edges() if e in protected)
-    return ExtractionResult(work, removed, in_order, stats)
+    return ExtractionResult(work, removed, (), stats)
 
 
 def minimal_k_vsb(
@@ -241,7 +242,7 @@ def minimal_k_vsb(
     start = time.perf_counter()
     _check_level(g, k)
     candidates = _ordered_candidates(g.edges(), order, seed)
-    return _sweep(g, k, candidates, frozenset(), start)
+    return _sweep(g, k, candidates, start)
 
 
 def compute_2vsb_spanning(
@@ -260,7 +261,9 @@ def compute_2vsb_spanning(
     shows that prefix 2-vsb, so it is the shortest one.  Otherwise the
     fallback's precondition tests the whole input once, raising its
     witness as :class:`NotKVsbError` if it is not 2-vsb, and then probes
-    that prefix and one more edge at a time until one is 2-vsb.
+    that prefix and one more edge at a time until one is 2-vsb.  Each
+    walk goes through the prefix as it stands.  ``removed`` is every
+    edge outside the backbone, in candidate order.
     """
     start = time.perf_counter()
     _check_level(g, 2)
@@ -277,7 +280,7 @@ def compute_2vsb_spanning(
             tests += 1
         return tests
 
-    inner = _sweep(prefix, 2, edges, frozenset(), start, shortest_2vsb_prefix)
+    inner = _sweep(prefix, 2, None, start, shortest_2vsb_prefix)
     # the sweep removed from the prefix; every later candidate goes too
     removed = inner.removed + tuple(edges[prefix.m :])
     stats = replace(inner.stats, edges_in=g.m)
@@ -289,9 +292,10 @@ def two_phase_3vsb(
 ) -> ExtractionResult:
     """3-vsb spanning subgraph via a protected 2-vsb backbone.
 
-    Phase one computes the backbone; phase two greedily deletes only the
-    edges outside it at k=3.  The returned ``protected`` edges are the
-    backbone in input-edge order and are always contained in the output.
+    Phase one computes the backbone; phase two greedily deletes at k=3
+    only the edges outside it, the backbone's ``removed``, in that order.
+    The returned ``protected`` edges are the backbone in input-edge order
+    and are always contained in the output.
     The stats include the backbone run's tests.  Raises
     :class:`NotKVsbError` with the 3-vsb witness when the input is not
     3-vsb.  When the backbone finds it is not even 2-vsb, that witness is
@@ -304,10 +308,7 @@ def two_phase_3vsb(
         backbone = compute_2vsb_spanning(g, order, seed)
     except NotKVsbError as exc:  # not 2-vsb, so not 3-vsb either
         raise NotKVsbError(3, exc.witness) from None
-    protected = frozenset(backbone.subgraph.edges())
-    candidates = _ordered_candidates(g.edges(), order, seed)
-    counts = backbone.stats
-    return _sweep(
-        g, 3, candidates, protected, start, None,
-        counts.full_tests, counts.flow_tests,
-    )
+    counts = backbone.stats.full_tests, backbone.stats.flow_tests
+    result = _sweep(g, 3, backbone.removed, start, None, *counts)
+    kept = backbone.subgraph._edges
+    return replace(result, protected=tuple(e for e in g.edges() if e in kept))

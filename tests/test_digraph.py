@@ -73,6 +73,11 @@ class TestBuild:
         ([(0, 1), (0, 1), (0, 9)], DuplicateEdgeError, "edge (0, 1) already present"),
         ([(0, 9), (0, 1), (0, 1)], OutOfRangeError, "vertex 9 outside [0, 4)"),
         ([(0, 1), (2, 2), (0, 1)], SelfLoopError, "self-loop (2, 2) not allowed"),
+        # the bulk pass uses up an arc given as an iterator, and the
+        # arc-by-arc rebuild reads the arcs it converted
+        ([iter((0, 1)), (1, 1)], SelfLoopError, "self-loop (1, 1) not allowed"),
+        ([iter((0, 1)), iter((0, 1))], DuplicateEdgeError, "edge (0, 1) already present"),
+        ([iter((0, 1)), 5], TypeError, "cannot unpack non-iterable int object"),
     ])
     def test_first_bad_arc_decides_the_error(self, edges, error, message):
         with pytest.raises(error) as caught:

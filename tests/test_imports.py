@@ -1,16 +1,19 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module.
 
 There is no linter in the toolchain, so this guard parses each module of
 ``src/vsbgraph`` (except ``__init__.py``, which imports to re-export)
-and fails on an imported name that is never read.
+and each script in ``tools``, and fails on an imported name that is
+never read.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vsbgraph"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vsbgraph"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +36,8 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_every_module_is_checked():
-    assert {p.name for p in MODULES} >= {"cli.py", "connectivity.py", "digraph.py"}
+    names = {p.name for p in MODULES}
+    assert names >= {"cli.py", "connectivity.py", "digraph.py", "bench_compare.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

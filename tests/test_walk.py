@@ -33,7 +33,8 @@ def bidirected(n: int, arcs: list[tuple[int, int]]) -> Digraph:
 def walks(g: Digraph, order: str, seed: int | None):
     """(k, candidates, protected, graph walked) for each walk an extractor
     makes on g at the levels g.n allows: minimal's, the backbone's on its
-    degree-gated prefix, and two-phase's k=3 walk around that backbone."""
+    degree-gated prefix (candidates None: the prefix's own edges), and
+    two-phase's k=3 walk around that backbone."""
     candidates = extraction._ordered_candidates(g.edges(), order, seed)
     for k in (1, 2, 3):
         if g.n > k:
@@ -41,7 +42,7 @@ def walks(g: Digraph, order: str, seed: int | None):
     if g.n > 3:
         prefix = Digraph(g.n)
         if next(_degree_gated(prefix, candidates, 2), None) is not None:
-            yield 2, candidates, frozenset(), prefix
+            yield 2, None, frozenset(), prefix
             # the protected set is the backbone when there is one, else
             # every third candidate, so the k=3 walk still skips some
             try:
@@ -96,14 +97,20 @@ def short_graphs():
 def assert_walks_agree(g: Digraph, k: int, candidates, protected) -> int:
     """The count walk and the reference make the same removals and keep
     the same edges, degree-only and with local tests; g is left as is.
-    Returns the number of removals."""
+    The count walk gets the candidates that may go, those g holds outside
+    protected (None stays None: g's own edges), the reference all of them
+    and protected.  Returns the number of removals."""
     before = g.edges()
-    kept, removed, tests = extraction._walk(g, k, candidates, protected)
+    if candidates is None:
+        may_go, candidates = None, before
+    else:
+        may_go = [e for e in candidates if e in g._edges and e not in protected]
+    kept, removed, tests = extraction._walk(g, k, may_go)
     work, expected, _ = reference_walk(g, k, candidates, protected, False)
     assert list(removed) == expected
     assert kept.edges() == work.edges()
     assert tests == 0
-    kept, removed, tests = extraction._walk(g, k, candidates, protected, g.copy())
+    kept, removed, tests = extraction._walk(g, k, may_go, g.copy())
     work, expected, flow_tests = reference_walk(g, k, candidates, protected, True)
     assert (list(removed), tests) == (expected, flow_tests)
     assert kept.edges() == work.edges()
@@ -159,7 +166,7 @@ def test_count_rule_matches_rule_on_graph(g, k, seed, p):
 
     candidates = extraction._ordered_candidates(g.edges(), "shuffle", seed)
     with mock.patch.object(extraction, "_stays_k_vsb", coin):
-        kept, removed, tests = extraction._walk(g, k, candidates, frozenset(), g.copy())
+        kept, removed, tests = extraction._walk(g, k, candidates, g.copy())
     asked = list(calls)
     work, expected, flow_tests = reference_walk(
         g, k, candidates, frozenset(), True, coin
@@ -168,6 +175,28 @@ def test_count_rule_matches_rule_on_graph(g, k, seed, p):
     assert asked == calls[len(asked):]
     assert kept.edges() == work.edges()
     assert below_bound(kept, k) == [below_degree_bound(work, x, k) for x in range(g.n)]
+
+
+@pytest.mark.parametrize(
+    "name,order,seed", [("10,80,1", "input", None), ("K6", "shuffle", 5)]
+)
+def test_two_phase_walks_the_backbone_removals(monkeypatch, name, order, seed):
+    # two-phase's k=3 walk gets exactly the edges outside its backbone, in
+    # candidate order: no protected arc.  Both backbones fall back, and
+    # on K6 shuffle-5 the probes grow the prefix before the second walk
+    g = named_graph(name)
+    backbone = compute_2vsb_spanning(g, order, seed)
+    walked, walk = [], extraction._walk
+
+    def recording(h, k, candidates, *rest):
+        walked.append((k, None if candidates is None else list(candidates)))
+        return walk(h, k, candidates, *rest)
+
+    monkeypatch.setattr(extraction, "_walk", recording)
+    two_phase_3vsb(g, order, seed)
+    at_3 = [candidates for k, candidates in walked if k == 3]
+    assert at_3 == [list(backbone.removed)]
+    assert len(walked) == 3
 
 
 class TestSubgraph:

@@ -216,12 +216,16 @@ def counting(tally: dict, key: str, fn):
 
 def sweep_operations(lib, g, name: str) -> dict:
     extraction = lib.extraction
-    # the walk took a required local flag before it read counts
-    local = inspect.signature(extraction._walk).parameters["local"]
-    flag = () if local.default is None else (False,)
+    params, rest = inspect.signature(extraction._walk).parameters, []
+    # the walk took a protected set before its callers passed only the
+    # arcs that may go, and a required local flag before it read counts
+    if "protected" in params:
+        rest.append(frozenset())
+    if params["local"].default is not None:
+        rest.append(False)
     return {"minimal": lambda: extraction.minimal_k_vsb(g, 3),
             "two_phase": lambda: extraction.two_phase_3vsb(g),
-            "walk": lambda: extraction._walk(g, 3, g.edges(), frozenset(), *flag),
+            "walk": lambda: extraction._walk(g, 3, g.edges(), *rest),
             "backbone": lambda: extraction.compute_2vsb_spanning(g)}
 
 
