@@ -717,25 +717,29 @@ def _slacks(g: Digraph, k: int) -> list[list[int]]:
 
 
 def _degree_gated(
-    g: Digraph, arcs: Iterable[tuple[int, int]], k: int
+    slacks: list[list[int]], arcs: Iterable[tuple[int, int]], present: Container
 ) -> Iterator[int]:
-    """Add ``arcs`` to g one at a time; yield the number added so far
-    whenever no vertex is below the k-vsb degree bound (:func:`_slacks`),
-    including 0 if g meets it already.  Degrees only grow, so after the
-    first yield it yields after every further arc."""
-    out, inn, nbrs = _slacks(g, k)
-    # units of slack missing below the bound; an arc makes up at most 4
-    missing = -sum([s for s in out + inn + nbrs if s < 0])
-    add, succ = g.add_edge, g._out
-    if not missing:
+    """Read ``arcs`` one at a time, arcs that a graph with the slacks
+    ``slacks`` (:func:`_slacks`) lacks, and raise the slacks in place as
+    adding each arc does.  By the time an arc is read, ``present`` must
+    hold the graph's arcs and every arc read so far: the source of
+    ``arcs`` puts each arc there as it hands it over.  Yield the number
+    read so far whenever no slack is negative, including 0 if none is at
+    the start.  Degrees only grow, so after the first yield it yields
+    after every further arc."""
+    out, inn, nbrs = slacks
+    # units of slack short of the bound; an arc makes up at most 4
+    short = -sum([s for s in out + inn + nbrs if s < 0])
+    if not short:
         yield 0
     for added, (u, v) in enumerate(arcs, 1):
-        lone = u not in succ[v]
-        add(u, v)
-        missing -= (out[u] < 0) + (inn[v] < 0) + lone * ((nbrs[u] < 0) + (nbrs[v] < 0))
+        short -= (out[u] < 0) + (inn[v] < 0)
         out[u], inn[v] = out[u] + 1, inn[v] + 1
-        nbrs[u], nbrs[v] = nbrs[u] + lone, nbrs[v] + lone
-        if not missing:
+        # the neighbour slacks rise unless the reverse arc is present
+        if (v, u) not in present:
+            short -= (nbrs[u] < 0) + (nbrs[v] < 0)
+            nbrs[u], nbrs[v] = nbrs[u] + 1, nbrs[v] + 1
+        if not short:
             yield added
 
 

@@ -56,11 +56,15 @@ on the same disjoint-path primitive, so the test suite checks the sweep
 against an enumeration of deletion sets and the brute-force oracle
 instead, and tests its fallback outputs with :func:`is_k_vsb`.
 
-Two-phase is still slower than minimal: its backbone costs a degree walk
-over a prefix of the candidates and a full k=2 test, while the k=3 work
-the backbone saves is only part of one degree walk.  The backbone's
-degree-only result has about 2.2n arcs, so the directed half of its
-test runs on semidominators (``connectivity._vsb_at_least``).
+Two-phase is still slower than minimal: its backbone costs a degree gate
+and a degree walk over a prefix of the candidates and a full k=2 test,
+while the k=3 work the backbone saves is only part of one degree walk.
+The backbone's gate and walk run on integers too: the gate raises the
+empty graph's slacks arc by arc while the arcs it reads are recorded,
+the walk starts from the slacks the gate ends with and reads the reverse
+arcs from that record, and the only graph a clean backbone builds is its
+degree-only result D2.  D2 has about 2.2n arcs, so the directed half of
+its test runs on semidominators (``connectivity._vsb_at_least``).
 
 Runs never share mutable state; distinct extractions may proceed
 concurrently.
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .connectivity import (
     _check_level,
@@ -148,28 +152,38 @@ def _require_k_vsb(g: Digraph, k: int) -> int:
     return 1
 
 
+def _input_test(g: Digraph, k: int) -> Callable[[], tuple[int, Digraph]]:
+    """The precondition of a :func:`_sweep` over g as it stands: it tests
+    g by :func:`_require_k_vsb` and returns that count and g."""
+    return lambda: (_require_k_vsb(g, k), g)
+
+
 def _walk(
-    g: Digraph,
+    arcs: Collection[Edge],
     k: int,
-    candidates: Sequence[Edge] | None,
+    candidates: Iterable[Edge] | None,
+    slacks: list[list[int]],
     local: Digraph | None = None,
 ) -> tuple[Digraph, tuple[Edge, ...], int]:
-    """One greedy pass over g's degree counts through ``candidates``,
-    distinct arcs of g that may all go (None: every arc of g, in g's
-    order); g is not changed.  A candidate goes unless its removal puts
-    an end below the degree bound (``connectivity._slacks``) or, given
-    ``local``, a copy of the k-vsb graph g, fails the local test
-    ``_stays_k_vsb`` there; ``local`` loses the arcs that go.
+    """One greedy pass over a graph's degree counts through ``candidates``,
+    distinct arcs of the graph that may all go (None: every arc, in
+    order).  The graph is given by ``arcs``, its arcs in order (a dict's
+    keys), which the walk leaves as they are, and ``slacks``, its slacks
+    above the degree bound (``connectivity._slacks``), which the walk
+    lowers in place.  A candidate goes unless its removal puts an end
+    below the bound or, given ``local``, a copy of the graph, which is
+    then k-vsb, fails the local test ``_stays_k_vsb`` there; ``local``
+    loses the arcs that go.
 
-    Returns g's kept edges as a new graph in g's edge order, the removed
-    edges in candidate order and the number of local tests made.
+    Returns the kept arcs as a new graph in the order of ``arcs``, the
+    removed edges in candidate order and the number of local tests made.
     """
-    n, arcs = g.n, g._edges
-    out, inn, nbrs = _slacks(g, k)
+    out, inn, nbrs = slacks
     # no removal takes a slack below 0; a vertex below the bound stays
     # there, and out- and in-slacks of 0 make all its arcs degree keeps
-    for x in [x for x, s in enumerate(zip(out, inn, nbrs)) if min(s) < 0]:
-        out[x] = inn[x] = 0
+    if min(map(min, slacks)) < 0:
+        for x in [x for x, s in enumerate(zip(out, inn, nbrs)) if min(s) < 0]:
+            out[x] = inn[x] = 0
     removed: dict[Edge, None] = {}
     tests = 0
     for e in arcs if candidates is None else candidates:
@@ -177,7 +191,7 @@ def _walk(
         if not (out[u] and inn[v]):
             continue
         # the neighbour slacks fall unless the reverse arc stays
-        lone = (v, u) in removed or (v, u) not in arcs
+        lone = (v, u) not in arcs or (v, u) in removed
         if lone and not (nbrs[u] and nbrs[v]):
             continue
         if local is not None:
@@ -189,43 +203,48 @@ def _walk(
         out[u], inn[v] = out[u] - 1, inn[v] - 1
         nbrs[u], nbrs[v] = nbrs[u] - lone, nbrs[v] - lone
         removed[e] = None
-    kept = Digraph(n, [e for e in g.edges() if e not in removed])
+    kept = Digraph(len(out), [e for e in arcs if e not in removed])
     return kept, tuple(removed), tests
 
 
 def _sweep(
-    g: Digraph,
+    arcs: Collection[Edge],
+    slacks: list[list[int]],
     k: int,
     candidates: Sequence[Edge] | None,
     start: float,
-    precondition: Callable[[], int] | None = None,
+    precondition: Callable[[], tuple[int, Digraph]],
     full_tests: int = 0,
     flow_tests: int = 0,
 ) -> ExtractionResult:
     """The greedy deletion sweep every extractor runs (module docstring).
 
-    Both walks go through ``candidates``, the arcs of g that may go, or,
-    when None, through every arc g holds at that walk.  The degree-only
-    walk and its check come first; if the check fails, the fallback runs
-    ``precondition`` and then the local-test walk, whose output is k-vsb
-    by induction.  ``precondition`` raises :class:`NotKVsbError` unless
-    g is k-vsb and returns the number of full tests it made; by default
-    it is ``is_k_vsb(g, k)``.  The backbone's precondition also grows g,
-    which is a prefix of its input, to the shortest 2-vsb prefix
-    (:func:`compute_2vsb_spanning`).
+    The degree-only walk and its check come first, on the graph of
+    ``arcs`` and ``slacks`` (:func:`_walk`).  If the check fails, the
+    fallback runs ``precondition``, which raises :class:`NotKVsbError`
+    unless the graph is k-vsb and returns the number of full tests it
+    made and the graph as a :class:`Digraph`, and then the local-test
+    walk on that graph, whose output is k-vsb by induction.  The
+    backbone's precondition also grows the graph, which is a prefix of
+    its input, to the shortest 2-vsb prefix (:func:`compute_2vsb_spanning`).
+    Both walks go through ``candidates``, the arcs that may go, or, when
+    None, through every arc of the graph they walk; ``edges_in`` counts
+    the arcs of the graph walked last.
     ``removed`` keeps candidate order and ``protected`` is empty.
     ``start`` is the caller's ``time.perf_counter()`` reading and
     ``full_tests``/``flow_tests`` its counts so far; the stats include
     them.
     """
-    work, removed, _ = _walk(g, k, candidates)
+    work, removed, _ = _walk(arcs, k, candidates, slacks)
     full_tests += 1
     if not _vsb_at_least(work, k, ()):
-        full_tests += precondition() if precondition else _require_k_vsb(g, k)
-        work, removed, local_tests = _walk(g, k, candidates, g.copy())
+        tests, g = precondition()
+        full_tests += tests
+        arcs, slacks = g._edges, _slacks(g, k)
+        work, removed, local_tests = _walk(arcs, k, candidates, slacks, g.copy())
         flow_tests += local_tests
     stats = ExtractionStats(
-        g.m, work.m, full_tests, flow_tests, time.perf_counter() - start
+        len(arcs), work.m, full_tests, flow_tests, time.perf_counter() - start
     )
     return ExtractionResult(work, removed, (), stats)
 
@@ -242,7 +261,7 @@ def minimal_k_vsb(
     start = time.perf_counter()
     _check_level(g, k)
     candidates = _ordered_candidates(g.edges(), order, seed)
-    return _sweep(g, k, candidates, start)
+    return _sweep(g._edges, _slacks(g, k), k, candidates, start, _input_test(g, k))
 
 
 def compute_2vsb_spanning(
@@ -257,32 +276,40 @@ def compute_2vsb_spanning(
     deletion sweep runs only inside the shortest 2-vsb prefix of the
     candidate order.  No shorter prefix than the shortest one that meets
     the 2-vsb degree bound (``connectivity._degree_gated``) can pass, and
-    the sweep starts there: a degree-only result that passes its check
-    shows that prefix 2-vsb, so it is the shortest one.  Otherwise the
-    fallback's precondition tests the whole input once, raising its
-    witness as :class:`NotKVsbError` if it is not 2-vsb, and then probes
-    that prefix and one more edge at a time until one is 2-vsb.  Each
-    walk goes through the prefix as it stands.  ``removed`` is every
-    edge outside the backbone, in candidate order.
+    the sweep starts there.  The gate reads the candidates on counts,
+    from the empty graph's slacks, into a record of the prefix's arcs;
+    the degree-only walk goes through that record from the slacks the
+    gate ends with, so a clean run builds no graph but its output.  A
+    degree-only result that passes its check shows that prefix 2-vsb, so
+    it is the shortest one.  Otherwise the fallback's precondition tests
+    the whole input once, raising its witness as :class:`NotKVsbError` if
+    it is not 2-vsb, and then builds that prefix as a graph and probes it
+    and one more edge at a time until one is 2-vsb; the local walk goes
+    through the prefix so grown.  An input that never meets the bound
+    fails the check as well (the walk then goes through all of it), and
+    the precondition raises.  ``removed`` is every edge outside the
+    backbone, in candidate order.
     """
     start = time.perf_counter()
     _check_level(g, 2)
     edges = _ordered_candidates(g.edges(), order, seed)
-    prefix = Digraph(g.n)
-    gate = _degree_gated(prefix, edges, 2)
-    if next(gate, None) is None:  # not even the input meets the bound: raises
-        _require_k_vsb(g, 2)
+    # the empty graph's slacks (connectivity._slacks), which the gate raises
+    slacks = [[-2] * g.n, [-2] * g.n, [-3 if g.n >= 4 else 0] * g.n]
+    # the prefix read so far: setdefault(e, e) records each arc e as map
+    # hands it to the gate
+    read: dict[Edge, Edge] = {}
+    length = next(_degree_gated(slacks, map(read.setdefault, edges, edges), read), None)
 
-    def shortest_2vsb_prefix() -> int:
-        tests = _require_k_vsb(g, 2) + 1
-        while not _vsb_at_least(prefix, 2, ()):
-            next(gate)
+    def shortest_2vsb_prefix() -> tuple[int, Digraph]:
+        tests, grown = _require_k_vsb(g, 2) + 1, Digraph(g.n, edges[:length])
+        while not _vsb_at_least(grown, 2, ()):
+            grown.add_edge(*edges[grown.m])
             tests += 1
-        return tests
+        return tests, grown
 
-    inner = _sweep(prefix, 2, None, start, shortest_2vsb_prefix)
+    inner = _sweep(read, slacks, 2, None, start, shortest_2vsb_prefix)
     # the sweep removed from the prefix; every later candidate goes too
-    removed = inner.removed + tuple(edges[prefix.m :])
+    removed = inner.removed + tuple(edges[inner.stats.edges_in :])
     stats = replace(inner.stats, edges_in=g.m)
     return replace(inner, removed=removed, stats=stats)
 
@@ -309,6 +336,8 @@ def two_phase_3vsb(
     except NotKVsbError as exc:  # not 2-vsb, so not 3-vsb either
         raise NotKVsbError(3, exc.witness) from None
     counts = backbone.stats.full_tests, backbone.stats.flow_tests
-    result = _sweep(g, 3, backbone.removed, start, None, *counts)
+    result = _sweep(
+        g._edges, _slacks(g, 3), 3, backbone.removed, start, _input_test(g, 3), *counts
+    )
     kept = backbone.subgraph._edges
-    return replace(result, protected=tuple(e for e in g.edges() if e in kept))
+    return replace(result, protected=tuple(filter(kept.__contains__, g._edges)))

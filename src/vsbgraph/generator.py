@@ -7,8 +7,10 @@ the first graph that is 3-vertex strongly biconnected.
 While some vertex has in- or out-degree below 3, or undirected degree
 below 4, the graph cannot be 3-vsb, so the full 3-vsb test runs only
 once every vertex meets that degree bound; the instance is the same as
-if it ran after every insertion (``connectivity._degree_gated``, the
-extraction backbone's gate too).  Randomness comes from numpy's PCG64
+if it ran after every insertion (``connectivity._degree_gated``, which
+keeps the degree counts while each drawn arc joins the work graph as the
+gate reads it; the extraction backbone runs the same gate over a record
+of arcs instead of a graph).  Randomness comes from numpy's PCG64
 generator, so a spec (n, initial edge count, 64-bit seed) pins the
 instance exactly.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
-from .connectivity import _degree_gated, is_k_vsb
+from .connectivity import _degree_gated, _slacks, is_k_vsb
 from .digraph import Digraph
 from .errors import (
     SaturatedError,
@@ -167,8 +169,15 @@ def grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
         for v in sorted(out):
             gaps.append(u * (n - 1) + (v if v < u else v - 1) - len(gaps))
     drawn = _draw(n * (n - 1) - len(gaps), _rng(seed), _GROWTH_BATCH)
-    arcs = (_arc_pair(p + bisect_right(gaps, p), n) for p in drawn)
-    for added in _degree_gated(work, arcs, 3):
+
+    def grown() -> Iterator[tuple[int, int]]:
+        # each drawn arc joins the work graph as the gate reads it
+        for p in drawn:
+            u, v = _arc_pair(p + bisect_right(gaps, p), n)
+            work.add_edge(u, v)
+            yield u, v
+
+    for added in _degree_gated(_slacks(work, 3), grown(), work._edges):
         if is_k_vsb(work, 3).verdict:
             return GeneratedInstance(spec, work, added)
     raise SaturatedError("graph became complete without passing the 3-vsb test")

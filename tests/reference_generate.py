@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from vsbgraph.connectivity import _degree_gated, is_k_vsb
+from vsbgraph.connectivity import _degree_gated, _slacks, is_k_vsb
 from vsbgraph.digraph import Digraph
 from vsbgraph.errors import SaturatedError
 from vsbgraph.generator import GeneratedInstance, InstanceSpec, _arc_pair, _rng
@@ -42,8 +42,14 @@ def reference_grow_until_3vsb(g: Digraph, seed: int) -> GeneratedInstance:
     for u, v in work.edges():
         present[u * (n - 1) + (v if v < u else v - 1)] = 1
     absent = [i for i, here in enumerate(present) if not here]
-    arcs = (_arc_pair(i, n) for i in reference_draw(absent, _rng(seed)))
-    for added in _degree_gated(work, arcs, 3):
+
+    def grown() -> Iterator[tuple[int, int]]:
+        for i in reference_draw(absent, _rng(seed)):
+            u, v = _arc_pair(i, n)
+            work.add_edge(u, v)
+            yield u, v
+
+    for added in _degree_gated(_slacks(work, 3), grown(), work._edges):
         if is_k_vsb(work, 3).verdict:
             return GeneratedInstance(spec, work, added)
     raise SaturatedError("graph became complete without passing the 3-vsb test")

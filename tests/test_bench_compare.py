@@ -29,13 +29,27 @@ def counted(suite: str, name: str) -> dict:
     return json.loads(done.stdout)
 
 
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_sweep_counts_on_thin_0():
+    # the backbone's output and counts are gated like the extractors',
+    # not only timed
     row = counted("sweep", "thin_0")
     assert (row["n"], row["m"]) == (16, 128)
+    labels = ("minimal", "two_phase", "backbone")
     tests = {label: (row[label]["full_tests"], row[label]["flow_tests"],
                      row[label]["edges_out"])
-             for label in ("minimal", "two_phase")}
-    assert tests == {"minimal": (1, 0, 50), "two_phase": (4, 69, 50)}
+             for label in labels}
+    assert tests == {"minimal": (1, 0, 50), "two_phase": (4, 69, 50),
+                     "backbone": (3, 69, 34)}
+    assert load_tool().SUITES["sweep"].compared == [
+        f"{label}.{key}" for label in labels
+        for key in ("digest", "removed", "full_tests", "flow_tests")]
 
 
 def test_verdict_counts_on_check_n50():
@@ -49,10 +63,7 @@ def test_verdict_gates_on_the_witness_alone():
     # the table visits and path counts are recorded for each side, but a
     # change to the witness search moves them on purpose, so only the
     # instance and the witness must agree
-    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.SUITES["verdict"].compared == ["witness"]
+    assert load_tool().SUITES["verdict"].compared == ["witness"]
     row = counted("verdict", "near_miss_n50")
     assert row["witness"] == "deleting {45, 48} breaks strong biconnectivity"
     assert {"table_visits", "disjoint_paths_calls"} <= set(row)
@@ -121,11 +132,8 @@ def test_ingest_runs_the_cli_check_in_process(tmp_path):
     # pairs beside the parser
     row = counted("ingest", "check_n50_commented")
     assert row["cli_check"] == {"stdout": "true\n", "returncode": 0}
-    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
     assert {"cli_check.stdout", "cli_check.returncode"} <= set(
-        tool.SUITES["ingest"].compared)
+        load_tool().SUITES["ingest"].compared)
     shutil.copytree(ROOT / "src" / "vsbgraph", tmp_path / "vsbgraph_base")
     done = run("ingest", "--measure", "check_n50", "--repeat", "2",
                path=os.pathsep.join([str(ROOT / "src"), str(tmp_path)]))

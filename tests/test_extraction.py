@@ -20,6 +20,7 @@ from vsbgraph import extraction
 from vsbgraph.cli import main
 from vsbgraph.connectivity import (
     _degree_gated,
+    _slacks,
     _stays_k_vsb,
     _vsb_at_least,
 )
@@ -34,6 +35,15 @@ K5_MINIMAL_EDGES = [
     (0, 2), (0, 3), (0, 4), (1, 0), (1, 3), (1, 4), (2, 1), (2, 3),
     (2, 4), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3),
 ]
+
+
+def gate_length(n: int, candidates) -> int | None:
+    """The length of the shortest prefix of candidates, arcs on n
+    vertices, that meets the 2-vsb degree bound (None: no prefix does),
+    by the gate run from the empty graph."""
+    read = {}
+    arcs = map(read.setdefault, candidates, candidates)
+    return next(_degree_gated(_slacks(Digraph(n), 2), arcs, read), None)
 
 
 def bidirected_c4() -> Digraph:
@@ -133,7 +143,7 @@ class TestBackbone2Vsb:
         # the input and probes that prefix (which passes) before its local
         # tests, and no full test of the output follows
         g = generate(InstanceSpec(10, seed=1)).graph
-        length = next(_degree_gated(Digraph(g.n), g.edges(), 2))
+        length = gate_length(g.n, g.edges())
         calls = count_full_tests(monkeypatch)
         result = compute_2vsb_spanning(g)
         assert result.stats.edges_in == 80
@@ -154,7 +164,7 @@ class TestBackbone2Vsb:
         # leaves 3 as an articulation point; the witness is the full test's
         k4 = [(u, v) for u in range(4) for v in range(4) if u != v]
         g = Digraph(7, k4 + [(u + 3, v + 3) for u, v in k4])
-        assert next(_degree_gated(Digraph(7), g.edges(), 2)) < g.m
+        assert gate_length(7, g.edges()) < g.m
         with pytest.raises(NotKVsbError) as info:
             compute_2vsb_spanning(g, order, seed)
         assert info.value.k == 2
@@ -259,7 +269,7 @@ class TestFullTestCount:
         monkeypatch.setattr(extraction, "_stays_k_vsb", counting_stays_k_vsb)
         result = two_phase_3vsb(g, order, seed)
         candidates = extraction._ordered_candidates(g.edges(), order, seed)
-        length = next(_degree_gated(Digraph(g.n), candidates, 2))
+        length = gate_length(g.n, candidates)
         assert len(backbones) == 1
         assert calls[0][0] == 2 and calls[0][1] < length
         assert calls[1:] == (

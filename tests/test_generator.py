@@ -23,7 +23,7 @@ from vsbgraph import (
     serialize_edge_list,
 )
 from vsbgraph.cli import main
-from vsbgraph.connectivity import _degree_gated
+from vsbgraph.connectivity import _degree_gated, _slacks
 
 from graphutil import complete_bidirected
 from oracle import oracle_k_vsb
@@ -295,9 +295,11 @@ class TestDegreeGate:
 
     def test_gate_yields_from_shortest_bounded_prefix(self):
         # the first yield is the shortest prefix with no vertex below the
-        # bound (0 when the start graph meets it), then one per later arc
+        # bound (0 when the start graph meets it), then one per later arc;
+        # the slacks are the graph's so far
         rng = random.Random(7)
-        assert list(_degree_gated(complete_bidirected(4), [], 3)) == [0]
+        k4 = complete_bidirected(4)
+        assert list(_degree_gated(_slacks(k4, 3), [], k4._edges)) == [0]
         for n in range(4, 8):
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
             for k in (1, 2, 3):
@@ -310,15 +312,16 @@ class TestDegreeGate:
                             for v in range(n)
                         )
                     )
-                    g = Digraph(n)
-                    assert list(_degree_gated(g, arcs, k)) == list(
-                        range(first, len(arcs) + 1)
-                    )
-                    assert g.edges() == arcs
+                    read, slacks = {}, _slacks(Digraph(n), k)
+                    source = map(read.setdefault, arcs, arcs)
+                    gated = _degree_gated(slacks, source, read)
+                    assert next(gated) == first
+                    assert slacks == _slacks(Digraph(n, arcs[:first]), k)
+                    assert list(gated) == list(range(first + 1, len(arcs) + 1))
+                    assert list(read) == arcs
                     start = Digraph(n, arcs[:first])
-                    gated = _degree_gated(start, arcs[first:], k)
+                    gated = _degree_gated(_slacks(start, k), arcs[first:], start._edges)
                     assert next(gated) == 0
-                    assert start.m == first
 
     @pytest.mark.parametrize("spec", [InstanceSpec(12, 48, 100001), InstanceSpec(20, 40, 1)])
     def test_full_test_runs_only_above_bound(self, monkeypatch, spec):

@@ -17,11 +17,11 @@ from vsbgraph import (
     two_phase_3vsb,
 )
 from vsbgraph import extraction
-from vsbgraph.connectivity import _degree_gated
+from vsbgraph.connectivity import _slacks
 
 from graphutil import block_ring, complete_bidirected, digraphs
 from reference_walk import below_bound, below_degree_bound, reference_walk
-from test_extraction import OUTPUT_DIGESTS, named_graph
+from test_extraction import OUTPUT_DIGESTS, gate_length, named_graph
 
 ORDERS = (("input", None), ("shuffle", 5))
 
@@ -40,9 +40,9 @@ def walks(g: Digraph, order: str, seed: int | None):
         if g.n > k:
             yield k, candidates, frozenset(), g
     if g.n > 3:
-        prefix = Digraph(g.n)
-        if next(_degree_gated(prefix, candidates, 2), None) is not None:
-            yield 2, None, frozenset(), prefix
+        length = gate_length(g.n, candidates)
+        if length is not None:
+            yield 2, None, frozenset(), Digraph(g.n, candidates[:length])
             # the protected set is the backbone when there is one, else
             # every third candidate, so the k=3 walk still skips some
             try:
@@ -105,12 +105,14 @@ def assert_walks_agree(g: Digraph, k: int, candidates, protected) -> int:
         may_go, candidates = None, before
     else:
         may_go = [e for e in candidates if e in g._edges and e not in protected]
-    kept, removed, tests = extraction._walk(g, k, may_go)
+    kept, removed, tests = extraction._walk(g._edges, k, may_go, _slacks(g, k))
     work, expected, _ = reference_walk(g, k, candidates, protected, False)
     assert list(removed) == expected
     assert kept.edges() == work.edges()
     assert tests == 0
-    kept, removed, tests = extraction._walk(g, k, may_go, g.copy())
+    kept, removed, tests = extraction._walk(
+        g._edges, k, may_go, _slacks(g, k), g.copy()
+    )
     work, expected, flow_tests = reference_walk(g, k, candidates, protected, True)
     assert (list(removed), tests) == (expected, flow_tests)
     assert kept.edges() == work.edges()
@@ -166,7 +168,9 @@ def test_count_rule_matches_rule_on_graph(g, k, seed, p):
 
     candidates = extraction._ordered_candidates(g.edges(), "shuffle", seed)
     with mock.patch.object(extraction, "_stays_k_vsb", coin):
-        kept, removed, tests = extraction._walk(g, k, candidates, g.copy())
+        kept, removed, tests = extraction._walk(
+            g._edges, k, candidates, _slacks(g, k), g.copy()
+        )
     asked = list(calls)
     work, expected, flow_tests = reference_walk(
         g, k, candidates, frozenset(), True, coin
@@ -228,3 +232,22 @@ class TestSubgraph:
         assert [r.stats.full_tests for r in results] == [1, 2]
         assert [r.stats.flow_tests for r in results] == [0, 0]
         assert calls == []
+
+    def test_clean_backbone_runs_on_counts(self, monkeypatch):
+        # a backbone whose degree-only result passes gates and walks on
+        # counts: it adds no arc to a Digraph and builds only its output
+        g = generate(InstanceSpec(16, 128, 100003)).graph
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+
+            return wrapper
+
+        for name in ("__init__", "add_edge"):
+            monkeypatch.setattr(Digraph, name, counted(name, getattr(Digraph, name)))
+        result = compute_2vsb_spanning(g)
+        assert (result.stats.full_tests, result.stats.flow_tests) == (1, 0)
+        assert calls == ["__init__"]

@@ -31,10 +31,10 @@ median (``ratio_median``) and their 10-90% band (``ratio_p10``,
 degree-only walk alone (``extraction._walk`` at k=3 in input order) and
 two-phase's 2-vsb backbone alone (``compute_2vsb_spanning(g)``, whose
 cost is diluted in two-phase's by the k=3 sweep).
-Per extractor it compares ``full_tests``, ``flow_tests``, the
-``removed`` list and a SHA-256 digest of the output (subgraph, removed,
-protected), and records the output edges and the calls of
-``Digraph.remove_edge`` and ``restore_edge``.  Instances: the perfbench
+For the two extractors and the backbone it compares ``full_tests``,
+``flow_tests``, the ``removed`` list and a SHA-256 digest of the output
+(subgraph, removed, protected), and records the output edges and the
+calls of ``Digraph.remove_edge`` and ``restore_edge``.  Instances: the perfbench
 ``thin`` instances of its first 10 units (n=16, m=8n, instance seeds
 from 100000 whose 128 sampled arcs are already 3-vsb), which also get
 their median, ``generate(InstanceSpec(n, seed=1))`` at n = 100, 400 and
@@ -122,7 +122,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIR_CALLS, SLOW_MS = 5, 100  # calls per side in a pair, below SLOW_MS
 THIN = tuple(f"thin_{unit}" for unit in range(10))
 GROW = tuple(f"grow_{unit}" for unit in range(5))
-EXTRACTORS = ("minimal", "two_phase")
+EXTRACTORS = ("minimal", "two_phase", "backbone")
 SIDES = ("base", "change")
 
 
@@ -218,14 +218,21 @@ def sweep_operations(lib, g, name: str) -> dict:
     extraction = lib.extraction
     params, rest = inspect.signature(extraction._walk).parameters, []
     # the walk took a protected set before its callers passed only the
-    # arcs that may go, and a required local flag before it read counts
+    # arcs that may go, a required local flag before it read counts, and
+    # a Digraph before it took a graph's arcs and slacks (each call gets
+    # fresh slacks, which the walk lowers in place)
     if "protected" in params:
         rest.append(frozenset())
     if params["local"].default is not None:
         rest.append(False)
+    if "slacks" in params:
+        slacks = lib.connectivity._slacks
+        walk = lambda: extraction._walk(g._edges, 3, g.edges(), slacks(g, 3))
+    else:
+        walk = lambda: extraction._walk(g, 3, g.edges(), *rest)
     return {"minimal": lambda: extraction.minimal_k_vsb(g, 3),
             "two_phase": lambda: extraction.two_phase_3vsb(g),
-            "walk": lambda: extraction._walk(g, 3, g.edges(), *rest),
+            "walk": walk,
             "backbone": lambda: extraction.compute_2vsb_spanning(g)}
 
 
@@ -616,7 +623,7 @@ def main() -> int:
             label: {side: round(statistics.median(
                 rows[name][side][label]["cpu_ms"] for name in THIN), 3)
                 for side in SIDES}
-            for label in (*EXTRACTORS, "walk", "backbone")
+            for label in (*EXTRACTORS, "walk")
         }
     result["instances"] = rows
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
